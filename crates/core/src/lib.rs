@@ -49,6 +49,7 @@
 //! assert!(outcome.metrics.mission_completed_fraction > 0.9);
 //! ```
 
+mod airspace;
 pub mod chaos;
 pub mod checkpoint;
 pub mod coengineering;

@@ -14,6 +14,7 @@
 //! "abort on first symptom" policy of §V-A and attacks are not handled at
 //! all.
 
+use crate::airspace::AirspaceIndex;
 use crate::containment::{
     panic_message, ComputeFaultPlane, FaultPhase, QuarantineCell, TickWatchdog, UavFault,
 };
@@ -638,8 +639,10 @@ struct TickScratch {
     /// Bump-style pool for the per-tick f64 buffers (`solved`,
     /// `batch_out`) leased inside the sharded solve.
     arena: ScratchArena,
-    /// Airspace passes: quarantine excision mask.
+    /// Airspace pass: quarantine excision mask.
     quarantined: Vec<bool>,
+    /// Airspace pass: this tick's nearest-teammate index.
+    airspace: AirspaceIndex,
     /// ConSert passes: this tick's per-UAV actions.
     actions: Vec<UavAction>,
     /// Sharded ConSert pass: supervision fallback mask.
@@ -715,6 +718,9 @@ pub struct Platform {
     /// Cached `UavId` display names, indexed by UAV (the reference
     /// ConSert catalog selects networks by name every tick).
     uav_names: Vec<String>,
+    /// Fleet index of each UAV, by `UavId::index()` (see
+    /// [`Self::index_of`]).
+    uav_slots: Vec<Option<usize>>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -864,6 +870,14 @@ impl Platform {
             .map(|i| format!("supervision.state.uav{i}"))
             .collect();
         let uav_names = uavs.iter().map(|u| u.handle.id().to_string()).collect();
+        let mut uav_slots = Vec::new();
+        for (i, u) in uavs.iter().enumerate() {
+            let k = u.handle.id().index() as usize;
+            if uav_slots.len() <= k {
+                uav_slots.resize(k + 1, None);
+            }
+            uav_slots[k].get_or_insert(i);
+        }
         Platform {
             config,
             sim,
@@ -912,7 +926,13 @@ impl Platform {
             eddi_eval_keys,
             supervision_state_keys,
             uav_names,
+            uav_slots,
         }
+    }
+
+    /// Fleet index of the UAV with `id`, in O(1).
+    fn index_of(&self, id: UavId) -> Option<usize> {
+        self.uav_slots.get(id.index() as usize).copied().flatten()
     }
 
     /// The paper's fixed operating-area origin (§IV), shared by
@@ -1242,11 +1262,7 @@ impl Platform {
 
         // ---- Airspace monitors: geofence and separation risk ----
         span.enter(phase::AIRSPACE);
-        if sharded {
-            self.step_airspace_sharded(&telemetries, now);
-        } else {
-            self.step_airspace_serial(&telemetries, now);
-        }
+        self.step_airspace(&telemetries, now);
 
         // ---- Bus delivery, IDS, command application ----
         span.enter(phase::BUS_STEP);
@@ -1255,13 +1271,13 @@ impl Platform {
         // drain failure would be a wiring bug — but under chaos testing
         // the platform must degrade, not die: count it, trace it, and
         // run the tick with an empty batch.
-        let tapped = self.drain_or_degrade(self.ids_tap, "ids_tap", now);
+        let tapped = self.drain_or_degrade(self.ids_tap, || "ids_tap".into(), now);
         // Telemetry-staleness watchdog: any telemetry that actually
         // survived the lossy bus refreshes its UAV's supervisor.
         if self.config.supervision.enabled {
             for msg in &tapped {
                 if let Payload::Telemetry(tel) = &msg.payload {
-                    if let Some(idx) = self.uavs.iter().position(|u| u.handle.id() == tel.uav) {
+                    if let Some(idx) = self.index_of(tel.uav) {
                         self.supervisors[idx].record_telemetry(now);
                     }
                 }
@@ -1307,7 +1323,7 @@ impl Platform {
         // signs; a stock deployment applies everything (the §V-C hole).
         for i in 0..n {
             let sub = self.cmd_subs[i];
-            let msgs = self.drain_or_degrade(sub, &format!("cmd_sub.uav{i}"), now);
+            let msgs = self.drain_or_degrade(sub, || format!("cmd_sub.uav{i}"), now);
             let handle = self.uavs[i].handle;
             for msg in msgs {
                 if let Some(auth) = &self.auth {
@@ -1389,7 +1405,7 @@ impl Platform {
             if self.attack_detected_at.is_none() {
                 self.attack_detected_at = Some(now);
             }
-            if let Some(idx) = self.uavs.iter().position(|u| u.handle.id() == id) {
+            if let Some(idx) = self.index_of(id) {
                 if !self.uavs[idx].attack_detected {
                     self.uavs[idx].attack_detected = true;
                     if self.config.sesame_enabled {
@@ -1501,21 +1517,24 @@ impl Platform {
 
     /// Drains a subscription, downgrading a [`sesame_middleware::bus::BusError`]
     /// from a panic to a counted, traced degradation with an empty batch.
+    /// `context` names the subscription in the failure's counter and
+    /// trace; it is only formatted on that path.
     fn drain_or_degrade(
         &mut self,
         sub: Subscription,
-        context: &str,
+        context: impl FnOnce() -> String,
         now: SimTime,
     ) -> Vec<Arc<Message>> {
         match self.bus.drain(sub) {
             Ok(msgs) => msgs,
             Err(err) => {
+                let context = context();
                 self.metrics.inc("bus.drain_failures");
                 self.metrics.inc(&format!("bus.drain_failures.{context}"));
                 self.trace.push(
                     now.as_millis(),
                     TraceEvent::BusDegraded {
-                        context: context.to_string(),
+                        context,
                         detail: err.to_string(),
                     },
                 );
@@ -2146,112 +2165,43 @@ impl Platform {
         span.enter(phase::SENSE_PUBLISH);
     }
 
-    /// The serial airspace pass — geofence updates plus the O(n²)
-    /// nearest-teammate separation scan. The oracle for
-    /// [`Self::step_airspace_sharded`].
-    fn step_airspace_serial(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        let n = telemetries.len();
-        // A quarantined UAV is excised from the separation scan (its
-        // telemetry may be the corrupt readings that faulted it); the
-        // geofence — which watches true position — keeps running.
-        let mut quarantined = std::mem::take(&mut self.scratch.quarantined);
-        quarantined.clear();
-        quarantined.extend(self.uavs.iter().map(|u| u.quarantine.is_some()));
-        for i in 0..n {
-            let tel = &telemetries[i];
-            if let Some(status) = self.geofences[i].update(&tel.true_position) {
-                let severity = match status {
-                    FenceStatus::Inside => Severity::Info,
-                    FenceStatus::Margin => Severity::Warning,
-                    FenceStatus::Breach => Severity::Critical,
-                };
-                self.events.push(
-                    now,
-                    SystemEvent::MonitorFinding {
-                        uav: tel.uav,
-                        monitor: "geofence".into(),
-                        severity,
-                        detail: format!("fence status -> {status:?}"),
-                    },
-                );
-            }
-            if self.config.sesame_enabled && tel.mode == FlightMode::Mission && !quarantined[i] {
-                // Nearest airborne teammate and closing geometry.
-                let mut nearest = f64::INFINITY;
-                let mut converging = false;
-                for j in 0..n {
-                    if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
-                        continue;
-                    }
-                    let d = tel
-                        .true_position
-                        .distance_3d_m(&telemetries[j].true_position);
-                    if d < nearest {
-                        nearest = d;
-                        // Converging when the relative velocity points at
-                        // the teammate.
-                        let rel = telemetries[j].true_position.to_enu(&tel.true_position);
-                        let rel_v = tel.velocity - telemetries[j].velocity;
-                        converging = rel_v.dot(&rel.into()) > 0.0;
-                    }
-                }
-                if nearest.is_finite() {
-                    self.assess_separation(i, tel, nearest, converging, now);
-                }
-            }
-        }
-        self.scratch.quarantined = quarantined;
-    }
-
-    /// The sharded airspace pass: the O(n²) proximity scan is a pure
-    /// function of this tick's telemetry, so it fans out over the shard
-    /// ranges; geofence updates, risk assessments and their events then
-    /// merge serially in fleet order.
-    fn step_airspace_sharded(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        let n = telemetries.len();
-        let jobs = self.shards.len();
-        let shards = &self.shards;
+    /// The airspace pass: geofence updates plus the separation-risk
+    /// monitor. Each subject's nearest-teammate query runs against this
+    /// tick's [`AirspaceIndex`] and is a pure function of the telemetry,
+    /// so the queries fan out over the shard ranges (inline for a single
+    /// shard); geofence updates, risk assessments and their events then
+    /// apply serially in fleet order.
+    fn step_airspace(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let sesame = self.config.sesame_enabled;
-        // Same excision as the serial oracle: quarantined UAVs are
-        // neither subjects nor teammates of the separation scan.
+        // A quarantined UAV is excised from the separation monitor (its
+        // telemetry may be the corrupt readings that faulted it), as
+        // subject and as teammate; the geofence — which watches true
+        // position — keeps running.
         let mut quarantined = std::mem::take(&mut self.scratch.quarantined);
         quarantined.clear();
         quarantined.extend(self.uavs.iter().map(|u| u.quarantine.is_some()));
-        let prox: Vec<Option<(f64, bool)>> = crate::shard::run_indexed(jobs, shards.len(), |s| {
+        let mut index = std::mem::take(&mut self.scratch.airspace);
+        if sesame {
+            index.rebuild(telemetries, |j| {
+                !quarantined[j] && telemetries[j].mode.is_airborne()
+            });
+        }
+        let shards = &self.shards;
+        let prox = crate::shard::run_indexed(shards.len(), shards.len(), |s| {
             shards[s]
                 .clone()
                 .map(|i| {
-                    let tel = &telemetries[i];
-                    if !(sesame && tel.mode == FlightMode::Mission) || quarantined[i] {
-                        return None;
+                    let subject =
+                        sesame && telemetries[i].mode == FlightMode::Mission && !quarantined[i];
+                    if subject {
+                        index.nearest_teammate(i, telemetries)
+                    } else {
+                        None
                     }
-                    // Nearest airborne teammate and closing geometry.
-                    let mut nearest = f64::INFINITY;
-                    let mut converging = false;
-                    for j in 0..n {
-                        if j == i || quarantined[j] || !telemetries[j].mode.is_airborne() {
-                            continue;
-                        }
-                        let d = tel
-                            .true_position
-                            .distance_3d_m(&telemetries[j].true_position);
-                        if d < nearest {
-                            nearest = d;
-                            // Converging when the relative velocity
-                            // points at the teammate.
-                            let rel = telemetries[j].true_position.to_enu(&tel.true_position);
-                            let rel_v = tel.velocity - telemetries[j].velocity;
-                            converging = rel_v.dot(&rel.into()) > 0.0;
-                        }
-                    }
-                    nearest.is_finite().then_some((nearest, converging))
                 })
                 .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        for i in 0..n {
+        });
+        for (i, nearest) in prox.into_iter().flatten().enumerate() {
             let tel = &telemetries[i];
             if let Some(status) = self.geofences[i].update(&tel.true_position) {
                 let severity = match status {
@@ -2269,16 +2219,17 @@ impl Platform {
                     },
                 );
             }
-            if let Some((nearest, converging)) = prox[i] {
-                self.assess_separation(i, tel, nearest, converging, now);
+            if let Some((range, converging)) = nearest {
+                self.assess_separation(i, tel, range, converging, now);
             }
         }
         self.scratch.quarantined = quarantined;
+        self.scratch.airspace = index;
     }
 
     /// Runs the SINADRA separation assessment for one UAV against its
     /// precomputed nearest-teammate geometry and emits the rising-edge
-    /// warning event. Shared verbatim by both airspace passes.
+    /// warning event.
     fn assess_separation(
         &mut self,
         i: usize,
@@ -2634,8 +2585,7 @@ impl Platform {
 
     fn estimated_remaining_mission(&self, uav: UavId) -> SimDuration {
         // This UAV's remaining route at cruise speed, floor 30 s.
-        let route = self.tasks.remaining_route(uav);
-        let remaining_m = sesame_sar::coverage::path_length_m(&route);
+        let remaining_m = self.tasks.remaining_length_m(uav);
         let secs = (remaining_m / 8.0).max(30.0);
         SimDuration::from_secs_f64(secs)
     }
@@ -2831,7 +2781,7 @@ impl Platform {
                         self.events
                             .push(now, SystemEvent::TaskReallocated { task, from, to });
                         // Upload the inherited route to the new owner.
-                        if let Some(j) = self.uavs.iter().position(|u| u.handle.id() == to) {
+                        if let Some(j) = self.index_of(to) {
                             let route = self.tasks.remaining_route(to);
                             self.upload_route(j, route);
                         }
@@ -2975,7 +2925,7 @@ impl Platform {
                         self.events
                             .push(now, SystemEvent::TaskReallocated { task, from, to });
                         // Upload the inherited route to the new owner.
-                        if let Some(j) = self.uavs.iter().position(|u| u.handle.id() == to) {
+                        if let Some(j) = self.index_of(to) {
                             let route = self.tasks.remaining_route(to);
                             self.upload_route(j, route);
                         }

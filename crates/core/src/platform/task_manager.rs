@@ -71,19 +71,35 @@ impl TaskManager {
     /// The waypoints of the task currently owned by `uav` that are still
     /// to fly (concatenated over its tasks).
     pub fn remaining_route(&self, uav: UavId) -> Vec<GeoPoint> {
-        let mut route = Vec::new();
-        for task in self.allocation.tasks_of(uav) {
-            if let Some(t) = self.mission.task(task) {
-                route.extend_from_slice(t.remaining());
-            }
-        }
-        route
+        self.remaining_waypoints(uav).copied().collect()
+    }
+
+    /// Length in metres of [`Self::remaining_route`], without building
+    /// it: the same legs summed in the same order, so the result is
+    /// bit-identical to `path_length_m(&remaining_route(uav))`.
+    pub fn remaining_length_m(&self, uav: UavId) -> f64 {
+        let mut prev: Option<&GeoPoint> = None;
+        self.remaining_waypoints(uav)
+            .filter_map(|wp| prev.replace(wp).map(|from| from.distance_3d_m(wp)))
+            .sum()
+    }
+
+    fn remaining_waypoints(&self, uav: UavId) -> impl Iterator<Item = &GeoPoint> {
+        self.allocation
+            .owned_by(uav)
+            .iter()
+            .filter_map(|task| self.mission.task(*task))
+            .flat_map(|t| t.remaining())
     }
 
     /// Records that `uav` reached `position`: advances waypoint progress
     /// of its tasks and mirrors the flown distance into the allocation.
     pub fn record_position(&mut self, uav: UavId, position: &GeoPoint, acceptance_m: f64) {
-        for task in self.allocation.tasks_of(uav) {
+        // Indexed, not iterated: the loop body writes the allocation.
+        // Recording progress never changes ownership, so the list is
+        // stable across the loop.
+        for k in 0..self.allocation.owned_by(uav).len() {
+            let task = self.allocation.owned_by(uav)[k];
             let before = self
                 .mission
                 .task(task)
@@ -199,6 +215,42 @@ mod tests {
         }
         assert!(tm.is_complete());
         assert_eq!(tm.completion(), 1.0);
+    }
+
+    fn length_matches_route(tm: &TaskManager) {
+        for uav in [1u32, 2, 3] {
+            let uav = UavId::new(uav);
+            assert_eq!(
+                tm.remaining_length_m(uav).to_bits(),
+                path_length_m(&tm.remaining_route(uav)).to_bits(),
+                "{uav}"
+            );
+        }
+    }
+
+    #[test]
+    fn remaining_length_is_the_route_length_bit_for_bit() {
+        let mut tm = plan3();
+        length_matches_route(&tm);
+        let route = tm.remaining_route(UavId::new(3));
+        for wp in route.iter().take(route.len() / 3) {
+            tm.record_position(UavId::new(3), wp, 5.0);
+        }
+        length_matches_route(&tm);
+        // The inheritor now owns two tasks: the sum crosses the leg
+        // between them, as the concatenated route does.
+        tm.redistribute(UavId::new(3), &[UavId::new(1), UavId::new(2)]);
+        length_matches_route(&tm);
+        tm.redistribute(UavId::new(2), &[UavId::new(1)]);
+        length_matches_route(&tm);
+        for wp in tm.remaining_route(UavId::new(1)) {
+            tm.record_position(UavId::new(1), &wp, 5.0);
+        }
+        length_matches_route(&tm);
+        assert_eq!(
+            tm.remaining_length_m(UavId::new(1)).to_bits(),
+            path_length_m(&[]).to_bits()
+        );
     }
 
     #[test]

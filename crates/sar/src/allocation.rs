@@ -15,6 +15,9 @@ pub struct Allocation {
     owners: BTreeMap<TaskId, UavId>,
     /// Remaining work per task, metres of path.
     remaining: BTreeMap<TaskId, f64>,
+    /// owner -> its tasks in ascending id order: `owners` inverted,
+    /// kept in step by `assign` and `redistribute_from`.
+    owned: BTreeMap<UavId, Vec<TaskId>>,
 }
 
 impl Allocation {
@@ -25,8 +28,28 @@ impl Allocation {
 
     /// Registers a task with its owner and workload.
     pub fn assign(&mut self, task: TaskId, owner: UavId, work_m: f64) {
-        self.owners.insert(task, owner);
+        self.set_owner(task, owner);
         self.remaining.insert(task, work_m.max(0.0));
+    }
+
+    /// Points `task` at `owner` in both directions of the index.
+    fn set_owner(&mut self, task: TaskId, owner: UavId) {
+        if let Some(prev) = self.owners.insert(task, owner) {
+            if let Some(list) = self.owned.get_mut(&prev) {
+                if let Ok(k) = list.binary_search(&task) {
+                    list.remove(k);
+                }
+                // No empty lists: the index stays a pure function of
+                // `owners`, so the derived `PartialEq` stays exact.
+                if list.is_empty() {
+                    self.owned.remove(&prev);
+                }
+            }
+        }
+        let list = self.owned.entry(owner).or_default();
+        if let Err(k) = list.binary_search(&task) {
+            list.insert(k, task);
+        }
     }
 
     /// The owner of a task.
@@ -46,18 +69,19 @@ impl Allocation {
         }
     }
 
-    /// Tasks owned by a UAV.
+    /// Tasks owned by a UAV, in ascending id order.
     pub fn tasks_of(&self, uav: UavId) -> Vec<TaskId> {
-        self.owners
-            .iter()
-            .filter(|(_, o)| **o == uav)
-            .map(|(t, _)| *t)
-            .collect()
+        self.owned_by(uav).to_vec()
+    }
+
+    /// Tasks owned by a UAV, in ascending id order, without allocating.
+    pub fn owned_by(&self, uav: UavId) -> &[TaskId] {
+        self.owned.get(&uav).map_or(&[], Vec::as_slice)
     }
 
     /// Total remaining work of a UAV, metres.
     pub fn load_of(&self, uav: UavId) -> f64 {
-        self.tasks_of(uav).iter().map(|t| self.remaining(*t)).sum()
+        self.owned_by(uav).iter().map(|t| self.remaining(*t)).sum()
     }
 
     /// Redistributes every unfinished task of `lost` to the UAV in
@@ -72,8 +96,9 @@ impl Allocation {
             return Vec::new();
         }
         let mut orphans: Vec<TaskId> = self
-            .tasks_of(lost)
-            .into_iter()
+            .owned_by(lost)
+            .iter()
+            .copied()
             .filter(|t| self.remaining(*t) > 0.0)
             .collect();
         // Hand out the biggest orphan first.
@@ -94,7 +119,7 @@ impl Allocation {
                         .expect("finite load")
                 });
             let Some(to) = target else { break };
-            self.owners.insert(task, to);
+            self.set_owner(task, to);
             moves.push((task, lost, to));
         }
         moves
@@ -113,6 +138,50 @@ impl Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The owner filter `tasks_of` ran before the index existed.
+    fn scanned_tasks_of(a: &Allocation, uav: UavId) -> Vec<TaskId> {
+        a.owners
+            .iter()
+            .filter(|(_, o)| **o == uav)
+            .map(|(t, _)| *t)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn owner_index_matches_the_owner_scan(
+            ops in proptest::collection::vec((0u8..3, 0u32..12, 1u32..6, 0.0..400.0f64, 0u8..32), 1..60),
+        ) {
+            let mut a = Allocation::new();
+            for (op, task, uav, work, capable_bits) in ops {
+                let (task, uav) = (TaskId::new(task), UavId::new(uav));
+                match op {
+                    0 => a.assign(task, uav, work),
+                    1 => a.record_progress(task, work),
+                    _ => {
+                        let capable: Vec<UavId> = (1..6u32)
+                            .filter(|u| capable_bits & (1 << (u - 1)) != 0)
+                            .map(UavId::new)
+                            .collect();
+                        a.redistribute_from(uav, &capable);
+                    }
+                }
+                let mut indexed = 0;
+                for u in 0..7u32 {
+                    let u = UavId::new(u);
+                    let scanned = scanned_tasks_of(&a, u);
+                    prop_assert_eq!(a.owned_by(u), scanned.as_slice());
+                    prop_assert_eq!(a.tasks_of(u), scanned);
+                    indexed += a.owned_by(u).len();
+                }
+                prop_assert_eq!(indexed, a.owners.len());
+            }
+        }
+    }
 
     fn setup() -> Allocation {
         let mut a = Allocation::new();

@@ -55,10 +55,18 @@ pub struct Finding {
     pub time: SimTime,
 }
 
+/// Task ids up to this bound are looked up through the dense index;
+/// larger ones (never produced by the planner) fall back to a scan, so
+/// one huge id cannot blow the index up.
+const DENSE_TASK_IDS: u32 = 1 << 16;
+
 /// The mission: tasks plus findings.
 #[derive(Debug, Clone, Default)]
 pub struct SarMission {
     tasks: Vec<TaskState>,
+    /// Position in `tasks` of the first task with each id, by
+    /// `TaskId::index()`.
+    slots: Vec<Option<usize>>,
     findings: Vec<Finding>,
     /// Two reports closer than this are the same person, metres.
     pub dedup_radius_m: f64,
@@ -69,6 +77,7 @@ impl SarMission {
     pub fn new() -> Self {
         SarMission {
             tasks: Vec::new(),
+            slots: Vec::new(),
             findings: Vec::new(),
             dedup_radius_m: 10.0,
         }
@@ -76,6 +85,15 @@ impl SarMission {
 
     /// Adds a coverage task.
     pub fn add_task(&mut self, id: TaskId, owner: UavId, waypoints: Vec<GeoPoint>) {
+        let k = id.index();
+        if k < DENSE_TASK_IDS {
+            let k = k as usize;
+            if self.slots.len() <= k {
+                self.slots.resize(k + 1, None);
+            }
+            // A repeated id keeps resolving to its first task.
+            self.slots[k].get_or_insert(self.tasks.len());
+        }
         self.tasks.push(TaskState {
             id,
             owner,
@@ -89,14 +107,23 @@ impl SarMission {
         &self.tasks
     }
 
+    /// Position of the first task with `id`.
+    fn position(&self, id: TaskId) -> Option<usize> {
+        if id.index() >= DENSE_TASK_IDS {
+            return self.tasks.iter().position(|t| t.id == id);
+        }
+        self.slots.get(id.index() as usize).copied().flatten()
+    }
+
     /// Mutable task lookup.
     pub fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskState> {
-        self.tasks.iter_mut().find(|t| t.id == id)
+        let k = self.position(id)?;
+        Some(&mut self.tasks[k])
     }
 
     /// Task lookup.
     pub fn task(&self, id: TaskId) -> Option<&TaskState> {
-        self.tasks.iter().find(|t| t.id == id)
+        self.position(id).map(|k| &self.tasks[k])
     }
 
     /// Marks waypoints of `task` visited while the UAV is within
@@ -260,6 +287,28 @@ mod tests {
         m.report_person(p, UavId::new(1), 0.9, SimTime::ZERO);
         m.report_person(p, UavId::new(2), 0.5, SimTime::from_secs(1));
         assert_eq!(m.findings()[0].confidence, 0.9);
+    }
+
+    #[test]
+    fn lookup_works_on_sparse_and_repeated_ids() {
+        let mut m = SarMission::new();
+        let ids = [7u32, 2, 4000, DENSE_TASK_IDS + 5, u32::MAX];
+        for (k, id) in ids.iter().enumerate() {
+            m.add_task(TaskId::new(*id), UavId::new(k as u32), vec![wp(k)]);
+        }
+        // A repeated id resolves to its first task, as a scan would.
+        m.add_task(TaskId::new(2), UavId::new(99), vec![]);
+        for (k, id) in ids.iter().enumerate() {
+            let t = m.task(TaskId::new(*id)).expect("added");
+            assert_eq!((t.id, t.owner), (TaskId::new(*id), UavId::new(k as u32)));
+        }
+        for absent in [0u32, 3, 6, 8, 3999, DENSE_TASK_IDS, u32::MAX - 1] {
+            assert!(m.task(TaskId::new(absent)).is_none(), "id {absent}");
+        }
+        assert!(m.reassign(TaskId::new(u32::MAX), UavId::new(42)));
+        assert_eq!(m.task(TaskId::new(u32::MAX)).unwrap().owner, UavId::new(42));
+        assert_eq!(m.visit(TaskId::new(4000), &wp(2), 5.0), 1);
+        assert!(m.task(TaskId::new(4000)).unwrap().is_complete());
     }
 
     #[test]

@@ -59,6 +59,13 @@ echo "==> tickbench smoke: end-to-end platform ticks/sec must hold the 3x margin
 cargo run -q --release -p sesame-bench --bin tickbench -- smoke > BENCH_tick.json
 cat BENCH_tick.json
 
+echo "==> perfbench unit tests: the repository benchmark's percentile, segment and catalogue rules"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench fleet_500 digest smoke: 500 UAVs must reproduce the pinned digest at timed tick 500"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fleet_500 --seed 0 --seconds 1 --trace 0
+
 echo "==> serverbench soak: 8 clients x 34 campaigns with a mid-campaign kill-and-restart; every run must replay digest-identically from the log — zero aborts"
 cargo run -q --release -p sesame-bench --bin serverbench -- smoke --jobs 4 > BENCH_server.json
 cat BENCH_server.json
@@ -76,4 +83,4 @@ SESAME_FUZZ_CASES=2048 cargo test -q -p sesame-scenario-dsl --test fuzz
 echo "==> bench gate: fresh numbers vs committed baselines (>20% regression fails)"
 scripts/bench_gate.sh
 
-echo "OK: build, tests, clippy, fmt, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"
+echo "OK: build, tests, clippy, fmt, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the perfbench tests and fleet_500 digest smoke, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"
