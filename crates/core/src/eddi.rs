@@ -187,14 +187,6 @@ impl UavEddiRuntime {
         TickPlan { dt, keys }
     }
 
-    /// The distribution the given Markov slot would adopt for the pending
-    /// advance of step `dt` (see
-    /// [`SafeDronesMonitor::solve_dist`]). Pure; used on one
-    /// representative runtime per distinct solve key.
-    pub fn solve_dist(&self, slot: usize, dt: SimDuration) -> Vec<f64> {
-        self.safedrones.solve_dist(slot, dt)
-    }
-
     /// Second half of a split tick: advances SafeDrones (adopting any
     /// primed per-slot distributions) and runs the perception, risk and
     /// security monitors. With `primes = [None; MARKOV_SLOTS]` this is
@@ -418,7 +410,7 @@ mod tests {
                 // itself — exactly what a fleet scheduler does on the
                 // class representative.
                 Some(_) => (0..MARKOV_SLOTS)
-                    .map(|s| Some(split.solve_dist(s, plan.dt())))
+                    .map(|s| Some(split.safedrones().solve_dist(s, plan.dt())))
                     .collect(),
                 None => vec![None; MARKOV_SLOTS],
             };

@@ -94,12 +94,12 @@ pub struct FleetGroup {
 
 /// How the per-UAV tick work is partitioned across worker threads.
 ///
-/// Outputs are invariant under the policy: the shard executor merges
-/// per-shard results in fleet order, so any shard count — on any core
-/// count — reproduces the serial run bit for bit.
+/// Outputs are invariant under the policy: the tick merges per-shard
+/// results in fleet order, so any shard count — on any core count —
+/// reproduces the one-shard run bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
-    /// Everything on the caller's thread (the reference path).
+    /// One shard: the whole tick runs inline on the caller's thread.
     Serial,
     /// Exactly `shards` shards. More shards than UAVs leaves the excess
     /// empty; `0` is clamped to `1`.
@@ -107,7 +107,7 @@ pub enum ShardPolicy {
         /// Number of shards.
         shards: usize,
     },
-    /// Serial below 16 UAVs, then roughly one shard per 32 UAVs, capped
+    /// One shard below 16 UAVs, then roughly one shard per 32 UAVs, capped
     /// by the machine's available parallelism.
     #[default]
     Auto,
@@ -115,7 +115,7 @@ pub enum ShardPolicy {
 
 impl ShardPolicy {
     /// Resolves the policy to a concrete shard count for `fleet_size`
-    /// UAVs. `1` means serial execution.
+    /// UAVs. `1` runs the tick inline on the caller's thread.
     pub fn shard_count(&self, fleet_size: usize) -> usize {
         match self {
             ShardPolicy::Serial => 1,

@@ -12,7 +12,8 @@
 //! * [`eddi`] — the per-UAV executable EDDI runtime (the incremental
 //!   fast path);
 //! * [`reference`] — the naive reference runtime the fast path is
-//!   lockstep-verified against;
+//!   lockstep-verified against (a test oracle: the platform never runs
+//!   it);
 //! * [`platform`] — UAV manager, task manager, database manager, ground
 //!   control station (the five-layer architecture of §IV-A, with the GUIs
 //!   replaced by headless snapshots — see DESIGN.md);

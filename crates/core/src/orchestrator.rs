@@ -24,15 +24,10 @@ use crate::platform::database::DatabaseManager;
 use crate::platform::gcs::{GroundControlStation, StatusSnapshot, UavStatusLine};
 use crate::platform::task_manager::TaskManager;
 use crate::platform::uav_manager::UavManager;
-use crate::reference::ReferenceEddiRuntime;
 use crate::supervision::{HealthState, HealthTransition, SupervisionConfig, UavSupervisor};
 use sesame_collab_loc::agent::CollaborativeAgent;
 use sesame_collab_loc::session::{CollabSession, LandingGuidance};
-use sesame_conserts::catalog::{
-    certified_navigation_accuracy_m, decide_mission, evaluate_uav, uav_consert_network,
-    MissionDecision, UavAction, UavEvidence,
-};
-use sesame_conserts::engine::ConsertNetwork;
+use sesame_conserts::catalog::{decide_mission, MissionDecision, UavAction};
 use sesame_conserts::incremental::{ConsertDecision, IncrementalConsertNetwork};
 use sesame_middleware::auth::{AuthKey, MessageAuth};
 use sesame_middleware::broker::AlertBroker;
@@ -43,7 +38,6 @@ use sesame_obs::span::phase;
 use sesame_obs::{MetricsRegistry, MetricsSnapshot, TickSpan, TraceEvent, TraceLog};
 use sesame_safedrones::markov::{BatchSolveScratch, ProfileKey};
 use sesame_safedrones::monitor::SafeDronesConfig;
-use sesame_safedrones::monitor::SafeDronesMonitor;
 use sesame_safedrones::{SolveKey, MARKOV_SLOTS};
 use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
@@ -104,12 +98,6 @@ pub struct PlatformConfig {
     /// Degraded-mode supervision: watchdog windows, heartbeat period and
     /// command retry policy (see [`crate::supervision`]).
     pub supervision: SupervisionConfig,
-    /// Whether the incremental EDDI fast path runs (solver profile cache,
-    /// presorted SafeML, SINADRA factor cache, attack-tree indexing,
-    /// fingerprint-gated ConSerts). `false` selects the naive reference
-    /// runtimes — bit-identical results, recomputed from scratch each
-    /// tick. On by default; the conformance suite flips it off.
-    pub eddi_fast_path: bool,
 }
 
 impl Default for PlatformConfig {
@@ -130,7 +118,6 @@ impl Default for PlatformConfig {
             motor_count: 4,
             tolerated_motor_failures: 0,
             supervision: SupervisionConfig::default(),
-            eddi_fast_path: true,
         }
     }
 }
@@ -352,13 +339,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Enables or disables the incremental EDDI fast path (on by
-    /// default). Disabling selects the naive reference runtimes.
-    pub fn eddi_fast_path(mut self, on: bool) -> Self {
-        self.config.eddi_fast_path = on;
-        self
-    }
-
     /// Validates the assembled configuration.
     pub fn build(self) -> Result<PlatformConfig, ConfigError> {
         self.config.validate()?;
@@ -377,133 +357,28 @@ pub struct ClLandingOutcome {
     pub at: SimTime,
 }
 
-/// The per-UAV Safety EDDI engine: the incremental fast path (default)
-/// or the naive reference runtime, selected by
-/// [`PlatformConfig::eddi_fast_path`]. Both produce bit-identical
-/// outputs; the reference variant recomputes everything each tick.
-enum EddiEngine {
-    Fast(UavEddiRuntime),
-    Reference(ReferenceEddiRuntime),
+/// One UAV's progress through this tick's split EDDI evaluation.
+// The slots live in a reused scratch vector, so the inline plan costs no
+// allocation; boxing it would allocate per UAV per tick.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Default)]
+enum EddiSlot {
+    /// Not evaluated this tick: no SESAME, quarantined, a guard fault,
+    /// or a begin/solve panic that excised the UAV.
+    #[default]
+    Idle,
+    /// `begin_tick` ran; the finish is pending.
+    Planned(TickPlan),
+    /// `finish_tick` returned these outputs.
+    Finished(EddiOutputs),
+    /// `finish_tick` panicked with this message.
+    Panicked(String),
 }
-
-impl EddiEngine {
-    fn set_remaining_mission(&mut self, remaining: SimDuration) {
-        match self {
-            EddiEngine::Fast(rt) => rt.set_remaining_mission(remaining),
-            EddiEngine::Reference(rt) => rt.set_remaining_mission(remaining),
-        }
-    }
-
-    fn tick(&mut self, telemetry: &UavTelemetry, scene: &SceneCondition) -> EddiOutputs {
-        match self {
-            EddiEngine::Fast(rt) => rt.tick(telemetry, scene),
-            EddiEngine::Reference(rt) => rt.tick(telemetry, scene),
-        }
-    }
-
-    // The split tick (ingest → batched cross-UAV solve → finish) only
-    // exists on the fast path; the shard plan in `Platform::new` never
-    // selects sharded execution for reference engines.
-
-    fn begin_tick(&mut self, telemetry: &UavTelemetry) -> TickPlan {
-        match self {
-            EddiEngine::Fast(rt) => rt.begin_tick(telemetry),
-            EddiEngine::Reference(_) => unreachable!("sharded ticks require the fast path"),
-        }
-    }
-
-    fn finish_tick(
-        &mut self,
-        telemetry: &UavTelemetry,
-        scene: &SceneCondition,
-        plan: TickPlan,
-        primes: [Option<&[f64]>; MARKOV_SLOTS],
-    ) -> EddiOutputs {
-        match self {
-            EddiEngine::Fast(rt) => rt.finish_tick(telemetry, scene, plan, primes),
-            EddiEngine::Reference(_) => unreachable!("sharded ticks require the fast path"),
-        }
-    }
-
-    fn last_outputs(&self) -> Option<&EddiOutputs> {
-        match self {
-            EddiEngine::Fast(rt) => rt.last_outputs(),
-            EddiEngine::Reference(rt) => rt.last_outputs(),
-        }
-    }
-
-    fn evidence(
-        &self,
-        telemetry: &UavTelemetry,
-        attack_detected: bool,
-        neighbors_available: bool,
-    ) -> UavEvidence {
-        match self {
-            EddiEngine::Fast(rt) => rt.evidence(telemetry, attack_detected, neighbors_available),
-            EddiEngine::Reference(rt) => {
-                rt.evidence(telemetry, attack_detected, neighbors_available)
-            }
-        }
-    }
-
-    fn safedrones(&self) -> &SafeDronesMonitor {
-        match self {
-            EddiEngine::Fast(rt) => rt.safedrones(),
-            EddiEngine::Reference(rt) => rt.safedrones(),
-        }
-    }
-
-    fn cache_stats(&self) -> EddiCacheStats {
-        match self {
-            EddiEngine::Fast(rt) => rt.cache_stats(),
-            EddiEngine::Reference(_) => EddiCacheStats::default(),
-        }
-    }
-}
-
-/// The per-UAV ConSert evaluator: fingerprint-gated single evaluation on
-/// the fast path, the naive two-evaluation catalog calls on the
-/// reference path.
-enum ConsertRuntime {
-    Fast(IncrementalConsertNetwork),
-    Reference(ConsertNetwork),
-}
-
-impl ConsertRuntime {
-    /// One tick's decision: the UAV action plus the certified navigation
-    /// accuracy bound.
-    fn decide(&mut self, uav: &str, evidence: &UavEvidence) -> ConsertDecision {
-        match self {
-            ConsertRuntime::Fast(inc) => inc.decide(evidence),
-            ConsertRuntime::Reference(net) => ConsertDecision {
-                action: evaluate_uav(net, uav, evidence),
-                nav_accuracy_m: certified_navigation_accuracy_m(net, uav, evidence),
-            },
-        }
-    }
-
-    fn cache_stats(&self) -> EddiCacheStats {
-        match self {
-            ConsertRuntime::Fast(inc) => {
-                let s = inc.stats();
-                EddiCacheStats {
-                    hits: s.hits,
-                    misses: s.misses,
-                }
-            }
-            ConsertRuntime::Reference(_) => EddiCacheStats::default(),
-        }
-    }
-}
-
-/// One shard's finish-tick work item: fleet-index offset of the shard,
-/// its disjoint `&mut` window of the fleet, and the per-UAV tick plans.
-type ShardWork<'a> = (usize, &'a mut [UavRt], Vec<Option<TickPlan>>);
 
 struct UavRt {
     handle: UavHandle,
-    eddi: Option<EddiEngine>,
-    conserts: Option<ConsertRuntime>,
+    eddi: Option<UavEddiRuntime>,
+    conserts: Option<IncrementalConsertNetwork>,
     detector: PersonDetector,
     route_uploaded: bool,
     attack_detected: bool,
@@ -525,12 +400,15 @@ struct UavRt {
     /// each backoff and promoted to `eddi` on release. The faulted
     /// engine in `eddi` is never ticked again — its internal state is
     /// suspect after an unwind.
-    probe_eddi: Option<EddiEngine>,
+    probe_eddi: Option<UavEddiRuntime>,
     /// Outputs of the last clean (finite, non-panicking) EDDI tick.
     last_good_outputs: Option<EddiOutputs>,
     /// The last-known-good outputs frozen at quarantine entry; GCS
     /// snapshots report this instead of the poisoned engine's state.
     frozen_outputs: Option<EddiOutputs>,
+    /// What the engines were fed and answered (unit tests only).
+    #[cfg(test)]
+    log: tests::UavLog,
 }
 
 struct ClState {
@@ -598,8 +476,8 @@ impl SeriesView<'_> {
 
 /// Reusable per-tick working storage. Every container here is cleared
 /// and refilled each tick, so after the first (warm-up) tick the
-/// steady-state pipeline runs without heap traffic from these
-/// collections. See DESIGN.md § "Hot-loop memory discipline" for the
+/// pipeline runs without heap traffic from these collections, at any
+/// shard count. See DESIGN.md § "Hot-loop memory discipline" for the
 /// lifetime rules (lease at phase entry, return before the tick ends;
 /// nothing in here carries semantic state across ticks).
 ///
@@ -612,41 +490,47 @@ impl SeriesView<'_> {
 struct TickScratch {
     /// This tick's fleet telemetry snapshot.
     telemetries: Vec<UavTelemetry>,
-    /// Serial path: detection events buffered by the pre-pass.
-    det_events: Vec<SystemEvent>,
-    /// Sharded path: per-UAV detection-event buffers.
+    /// UAV pass: per-UAV detection events, buffered by the pre-pass and
+    /// emitted at the merge.
     det_events_per_uav: Vec<Vec<SystemEvent>>,
-    /// Sharded classify: per-UAV, per-slot solve-class membership.
+    /// UAV pass: each UAV's split EDDI tick, from plan to outputs.
+    eddi: Vec<EddiSlot>,
+    /// Classify: per-UAV, per-slot solve-class membership.
     class_of: Vec<[Option<usize>; MARKOV_SLOTS]>,
-    /// Sharded classify: one `(representative, slot, dt)` per class.
+    /// Classify: one `(representative, slot, dt)` per class.
     classes: Vec<(usize, usize, SimDuration)>,
-    /// Sharded classify: solve-class lookup by exact solve identity.
+    /// Classify: solve-class lookup by exact solve identity.
     class_index: HashMap<(usize, SolveKey), usize>,
-    /// Sharded solve: batch-group lookup by `(slot, ProfileKey)`.
+    /// Batched solve: batch-group lookup by `(slot, ProfileKey)`.
     group_index: HashMap<(usize, ProfileKey), usize>,
-    /// Sharded solve: member classes of each batch group. Groups are
+    /// Batched solve: member classes of each batch group. Groups are
     /// tiny (distinct current distributions within one profile), so the
     /// member lists live inline.
     group_members: Vec<InlineVec<usize, 8>>,
-    /// Sharded solve: the `(slot, dt)` shared by each batch group.
+    /// Batched solve: the `(slot, dt)` shared by each batch group.
     group_meta: Vec<(usize, SimDuration)>,
-    /// Sharded solve: per-class result — a `(start, len)` span into the
+    /// Batched solve: per-class result — a `(start, len)` span into the
     /// arena-leased `solved` buffer, or the panic message that excises
     /// the class's members.
     class_span: Vec<Result<(usize, usize), String>>,
     /// Batched-uniformization working buffers.
     batch: BatchSolveScratch,
     /// Bump-style pool for the per-tick f64 buffers (`solved`,
-    /// `batch_out`) leased inside the sharded solve.
+    /// `batch_out`) leased inside the batched solve.
     arena: ScratchArena,
     /// Airspace pass: quarantine excision mask.
     quarantined: Vec<bool>,
     /// Airspace pass: this tick's nearest-teammate index.
     airspace: AirspaceIndex,
-    /// ConSert passes: this tick's per-UAV actions.
-    actions: Vec<UavAction>,
-    /// Sharded ConSert pass: supervision fallback mask.
+    /// Airspace pass: each subject's `(range, converging)` to its
+    /// nearest teammate.
+    nearest: Vec<Option<(f64, bool)>>,
+    /// ConSert pass: supervision fallback mask.
     fallback: Vec<bool>,
+    /// ConSert pass: each UAV's decision, `None` where none is evaluated.
+    decided: Vec<Option<ConsertDecision>>,
+    /// ConSert pass: this tick's per-UAV actions.
+    actions: Vec<UavAction>,
 }
 
 /// The platform. Construct with [`Platform::new`], drive with
@@ -692,17 +576,16 @@ pub struct Platform {
     /// order) by the containment step after supervision.
     pending_faults: Vec<UavFault>,
     watchdog: TickWatchdog,
-    /// `Some(tick)` while the watchdog holds the sharded tick demoted to
-    /// the serial reference path; restored to `base_shards` at `tick`.
+    /// `Some(tick)` while the watchdog holds the tick demoted to one
+    /// shard; `shards` is restored to `base_shards` at `tick`.
     demoted_until_tick: Option<u64>,
     // BTreeMap, not HashMap: retries are re-published in iteration order,
     // and bus/RNG state must not depend on hash randomization.
     pending_cmds: BTreeMap<(String, u64), PendingCommand>,
     next_heartbeat_at: SimTime,
-    /// Contiguous fleet partition for the sharded tick; a single range
-    /// selects the serial path. Resolved once in [`Platform::new`] from
-    /// the fleet's shard policy (sharding requires the fast-path EDDI's
-    /// split tick, so reference engines always run serial).
+    /// Contiguous fleet partition for the tick's fan-outs; a single
+    /// range runs them inline on the caller's thread. Resolved once in
+    /// [`Platform::new`] from the fleet's shard policy.
     shards: Vec<Range<usize>>,
     /// The shard plan as resolved at construction — what `shards` is
     /// restored to when a watchdog demotion cools down.
@@ -715,9 +598,6 @@ pub struct Platform {
     eddi_eval_keys: Vec<String>,
     /// Cached metric keys, indexed by UAV: `supervision.state.uav{i}`.
     supervision_state_keys: Vec<String>,
-    /// Cached `UavId` display names, indexed by UAV (the reference
-    /// ConSert catalog selects networks by name every tick).
-    uav_names: Vec<String>,
     /// Fleet index of each UAV, by `UavId::index()` (see
     /// [`Self::index_of`]).
     uav_slots: Vec<Option<usize>>,
@@ -765,13 +645,7 @@ impl Platform {
         let security_eddis = if config.sesame_enabled {
             attack_catalog::all_trees()
                 .into_iter()
-                .map(|t| {
-                    let mut eddi = SecurityEddi::attach(t, &mut broker);
-                    if config.eddi_fast_path {
-                        eddi.enable_fast_path();
-                    }
-                    eddi
-                })
+                .map(|t| SecurityEddi::attach(t, &mut broker))
                 .collect()
         } else {
             Vec::new()
@@ -787,25 +661,10 @@ impl Platform {
             let id = handle.id();
             manager.register(id, handle, "matrice300-sim", &["rgb-camera", "jetson-nx"]);
             cmd_subs.push(bus.subscribe(format!("/{id}/cmd/#")));
-            let eddi = config.sesame_enabled.then(|| {
-                let seed = config.seed ^ ((i as u64 + 1) << 16);
-                if config.eddi_fast_path {
-                    EddiEngine::Fast(UavEddiRuntime::new(seed, config.safedrones.clone(), origin))
-                } else {
-                    EddiEngine::Reference(ReferenceEddiRuntime::new(
-                        seed,
-                        config.safedrones.clone(),
-                        origin,
-                    ))
-                }
-            });
-            let conserts = config.sesame_enabled.then(|| {
-                if config.eddi_fast_path {
-                    ConsertRuntime::Fast(IncrementalConsertNetwork::new(id.to_string()))
-                } else {
-                    ConsertRuntime::Reference(uav_consert_network(&id.to_string()))
-                }
-            });
+            let eddi = config.sesame_enabled.then(|| Self::eddi_engine(&config, i));
+            let conserts = config
+                .sesame_enabled
+                .then(|| IncrementalConsertNetwork::new(id.to_string()));
             uavs.push(UavRt {
                 handle,
                 eddi,
@@ -826,6 +685,8 @@ impl Platform {
                 probe_eddi: None,
                 last_good_outputs: None,
                 frozen_outputs: None,
+                #[cfg(test)]
+                log: Default::default(),
             });
         }
 
@@ -855,10 +716,9 @@ impl Platform {
             .collect();
         let separation_hot = vec![false; n];
         let supervisors = (0..n).map(|_| UavSupervisor::new()).collect();
-        // Sharding needs the fast path's split tick (begin → batched
-        // solve → finish); any other configuration runs the serial
-        // oracle. Either way the outputs are bit-identical.
-        let shard_count = if config.sesame_enabled && config.eddi_fast_path {
+        // The baseline fleet has no EDDIs to batch, so it runs one shard.
+        // Any shard count produces bit-identical outputs.
+        let shard_count = if config.sesame_enabled {
             config.fleet.shard_policy().shard_count(n)
         } else {
             1
@@ -869,7 +729,6 @@ impl Platform {
         let supervision_state_keys = (0..n)
             .map(|i| format!("supervision.state.uav{i}"))
             .collect();
-        let uav_names = uavs.iter().map(|u| u.handle.id().to_string()).collect();
         let mut uav_slots = Vec::new();
         for (i, u) in uavs.iter().enumerate() {
             let k = u.handle.id().index() as usize;
@@ -925,7 +784,6 @@ impl Platform {
             scratch: TickScratch::default(),
             eddi_eval_keys,
             supervision_state_keys,
-            uav_names,
             uav_slots,
         }
     }
@@ -941,35 +799,11 @@ impl Platform {
         GeoPoint::new(35.05, 33.20, 0.0)
     }
 
-    /// A fresh EDDI engine for UAV `i`, seeded exactly as construction
-    /// seeds it. The engine kind follows the configured path: a released
-    /// UAV must rejoin the execution plan it left, and only the fast
-    /// engine supports the sharded split tick.
-    fn fresh_eddi_engine(&self, i: usize) -> EddiEngine {
-        let seed = self.config.seed ^ ((i as u64 + 1) << 16);
-        if self.config.eddi_fast_path {
-            EddiEngine::Fast(UavEddiRuntime::new(
-                seed,
-                self.config.safedrones.clone(),
-                Self::origin(),
-            ))
-        } else {
-            EddiEngine::Reference(ReferenceEddiRuntime::new(
-                seed,
-                self.config.safedrones.clone(),
-                Self::origin(),
-            ))
-        }
-    }
-
-    /// A fresh ConSert runtime for UAV `i`, matching the configured path.
-    fn fresh_consert_runtime(&self, i: usize) -> ConsertRuntime {
-        let id = self.uavs[i].handle.id();
-        if self.config.eddi_fast_path {
-            ConsertRuntime::Fast(IncrementalConsertNetwork::new(id.to_string()))
-        } else {
-            ConsertRuntime::Reference(uav_consert_network(&id.to_string()))
-        }
+    /// The EDDI engine of UAV `i`, seeded from the master seed. Built at
+    /// construction and, fresh, for every revival probe.
+    fn eddi_engine(config: &PlatformConfig, i: usize) -> UavEddiRuntime {
+        let seed = config.seed ^ ((i as u64 + 1) << 16);
+        UavEddiRuntime::new(seed, config.safedrones.clone(), Self::origin())
     }
 
     /// The simulator (fault injection, environment).
@@ -1248,17 +1082,7 @@ impl Platform {
                 self.metrics.inc("uav.fault.telemetry_corrupted");
             }
         }
-        // A multi-shard plan runs the data-parallel tick (serial
-        // pre-pass, fleet-wide batched Markov solve, per-shard finish,
-        // serial merge); a single shard runs the serial oracle. Both are
-        // bit-identical — the fleet_sharding conformance suite holds
-        // them together.
-        let sharded = self.shards.len() > 1;
-        if sharded {
-            self.step_uavs_sharded(&telemetries, now, second_boundary, visibility, &mut span);
-        } else {
-            self.step_uavs_serial(&telemetries, now, second_boundary, visibility, &mut span);
-        }
+        self.step_uavs(&telemetries, now, second_boundary, visibility, &mut span);
 
         // ---- Airspace monitors: geofence and separation risk ----
         span.enter(phase::AIRSPACE);
@@ -1422,11 +1246,7 @@ impl Platform {
         // ---- Decisions ----
         if self.config.sesame_enabled {
             span.enter(phase::CONSERT_COMPOSE);
-            if sharded {
-                self.step_conserts_sharded(&telemetries, now, &mut span);
-            } else {
-                self.step_conserts(&telemetries, now, &mut span);
-            }
+            self.step_conserts(&telemetries, now, &mut span);
         } else {
             span.enter(phase::DECIDE);
             self.step_baseline(&telemetries, now);
@@ -1480,8 +1300,7 @@ impl Platform {
         self.trace.absorb(self.bus.trace_mut());
 
         // EDDI cache counters, mirrored the same way: aggregated hit/miss
-        // totals across every UAV's solver, BN and ConSert caches (all
-        // zero when the reference path runs).
+        // totals across every UAV's solver, BN and ConSert caches.
         if self.config.sesame_enabled {
             let mut cache = EddiCacheStats::default();
             for u in &self.uavs {
@@ -1491,7 +1310,7 @@ impl Platform {
                     cache.misses += s.misses;
                 }
                 if let Some(c) = &u.conserts {
-                    let s = c.cache_stats();
+                    let s = c.stats();
                     cache.hits += s.hits;
                     cache.misses += s.misses;
                 }
@@ -1546,11 +1365,11 @@ impl Platform {
     /// Everything one UAV's tick does *before* the EDDI evaluation:
     /// telemetry publish, database append, battery report, route upload,
     /// coverage progress, person detection and availability accounting.
-    /// Called in fleet order on both paths, so the bus sequence (and
-    /// with it the loss-RNG stream), the coverage state and the detector
-    /// RNGs evolve identically. Person-detection events are buffered
-    /// into `det_events` instead of pushed, letting the sharded path
-    /// emit them at the exact log position the serial path uses.
+    /// Called in fleet order, so the bus sequence (and with it the
+    /// loss-RNG stream), the coverage state and the detector RNGs evolve
+    /// the same at any shard count. Person-detection events are buffered
+    /// into `det_events` and emitted at the merge, in fleet order, just
+    /// ahead of the UAV's EDDI outputs.
     fn uav_pre_pass(
         &mut self,
         i: usize,
@@ -1622,9 +1441,9 @@ impl Platform {
 
     /// The serial tail of one UAV's EDDI evaluation: spoofing-alert
     /// fan-out, the per-second PoF/uncertainty series of UAV 1 and the
-    /// §V-B altitude adaptation. Runs on the caller's thread in fleet
-    /// order on both paths (the adaptation reads *and writes* the shared
-    /// scan altitude, so its cross-UAV sequencing is load-bearing).
+    /// §V-B altitude adaptation. Runs at the merge, on the caller's
+    /// thread in fleet order (the adaptation reads *and writes* the
+    /// shared scan altitude, so its cross-UAV sequencing is load-bearing).
     fn apply_eddi_outputs(
         &mut self,
         i: usize,
@@ -1717,12 +1536,12 @@ impl Platform {
         }
     }
 
-    /// The guard at the head of one UAV's EDDI evaluation, run at the
-    /// same position by both execution plans so the fault record — and
-    /// everything downstream of it — is bit-identical across shard
-    /// policies. Checks, in order: an armed scheduled panic (which is
-    /// genuinely raised and caught, exercising the unwind path), then
-    /// non-finite telemetry that must not reach the solver.
+    /// The guard at the head of one UAV's EDDI evaluation, run in the
+    /// pre-pass in fleet order, so the fault record — and everything
+    /// downstream of it — is the same at any shard count. Checks, in
+    /// order: an armed scheduled panic (which is genuinely raised and
+    /// caught, exercising the unwind path), then non-finite telemetry
+    /// that must not reach the solver.
     fn eval_guard(&self, i: usize, tel: &UavTelemetry, now: SimTime) -> Option<UavFault> {
         let id = tel.uav;
         if self.compute_faults.panic_armed(i) {
@@ -1759,7 +1578,7 @@ impl Platform {
     /// The guard on one UAV's EDDI outputs: a non-finite
     /// probability-of-failure or combined uncertainty must not feed the
     /// series, the altitude policy or the ConSert evidence. Run at the
-    /// merge position on both execution plans.
+    /// merge, in fleet order.
     fn output_guard(i: usize, id: UavId, out: &EddiOutputs, now: SimTime) -> Option<UavFault> {
         for (name, v) in [
             ("pof", out.reliability.pof),
@@ -1778,98 +1597,27 @@ impl Platform {
         None
     }
 
-    /// The serial per-UAV tick — the oracle every shard plan must
-    /// reproduce bit for bit.
-    fn step_uavs_serial(
-        &mut self,
-        telemetries: &[UavTelemetry],
-        now: SimTime,
-        second_boundary: bool,
-        visibility: f64,
-        span: &mut TickSpan,
-    ) {
-        let n = self.uavs.len();
-        let mut det_events = std::mem::take(&mut self.scratch.det_events);
-        for i in 0..n {
-            // `telemetries` is the tick's local snapshot, not a `self`
-            // field, so borrowing it alongside `&mut self` is fine — no
-            // per-UAV clone needed.
-            let tel = &telemetries[i];
-            let id = tel.uav;
-            self.uav_pre_pass(i, tel, now, visibility, &mut det_events);
-            for ev in det_events.drain(..) {
-                self.events.push(now, ev);
-            }
-
-            // EDDI tick (SESAME only; a quarantined UAV's engine is
-            // frozen — the revival probe, not the tick, exercises it).
-            if self.uavs[i].eddi.is_some() && self.uavs[i].quarantine.is_none() {
-                span.enter(phase::EDDI_EVAL);
-                if let Some(fault) = self.eval_guard(i, tel, now) {
-                    self.pending_faults.push(fault);
-                } else {
-                    self.metrics.inc(&self.eddi_eval_keys[i]);
-                    let scene = SceneCondition {
-                        altitude_m: tel.true_position.alt_m,
-                        visibility,
-                    };
-                    let remaining = self.estimated_remaining_mission(id);
-                    // Invariant: `eddi.is_some()` holds — checked by the
-                    // enclosing condition.
-                    let eddi = self.uavs[i].eddi.as_mut().expect("checked above");
-                    eddi.set_remaining_mission(remaining);
-                    // Unwind safety: on a panic the engine's internal
-                    // state is suspect, so the containment layer
-                    // quarantines the UAV and never ticks this engine
-                    // again (a release promotes a fresh probe engine).
-                    match crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene)) {
-                        Ok(out) => {
-                            if let Some(fault) = Self::output_guard(i, id, &out, now) {
-                                self.pending_faults.push(fault);
-                            } else {
-                                self.uavs[i].last_good_outputs = Some(out.clone());
-                                self.apply_eddi_outputs(i, tel, &out, now, second_boundary);
-                            }
-                        }
-                        Err(payload) => self.pending_faults.push(UavFault {
-                            uav: i,
-                            id,
-                            at: now,
-                            phase: FaultPhase::EddiTick,
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                }
-            }
-            span.enter(phase::SENSE_PUBLISH);
-
-            // Trajectory sampling.
-            if second_boundary {
-                self.trajectories[i].push((now.as_secs_f64(), tel.true_position));
-            }
-        }
-        self.scratch.det_events = det_events;
-    }
-
-    /// The sharded per-UAV tick. Five sub-phases:
+    /// The per-UAV tick. Five sub-phases:
     ///
-    /// 1. **Pre-pass** (serial, fleet order): [`Self::uav_pre_pass`]
-    ///    plus the EDDI ingest ([`UavEddiRuntime::begin_tick`]), which
-    ///    fixes each UAV's Markov solve keys for this tick.
-    /// 2. **Classify** (serial): group the fleet's `3 n` pending CTMC
-    ///    solves into classes of identical [`SolveKey`]s, in fleet
-    ///    order. UAVs sharing a profile share rate matrices, so a
-    ///    500-UAV fleet typically needs a handful of distinct solves.
-    /// 3. **Batched solve** (parallel): one pure uniformization solve
-    ///    per class.
-    /// 4. **Finish** (parallel over disjoint shard slices):
+    /// 1. **Pre-pass** (fleet order): [`Self::uav_pre_pass`], the input
+    ///    guard and the EDDI ingest ([`UavEddiRuntime::begin_tick`]),
+    ///    which fixes each UAV's Markov solve keys for this tick.
+    /// 2. **Classify**: group the fleet's `3 n` pending CTMC solves into
+    ///    classes of identical [`SolveKey`]s, in fleet order. UAVs
+    ///    sharing a profile share rate matrices, so a 500-UAV fleet
+    ///    typically needs a handful of distinct solves.
+    /// 3. **Batched solve**: one SoA uniformization pass per batch group.
+    /// 4. **Finish** (per shard, the shards in parallel):
     ///    [`UavEddiRuntime::finish_tick`] adopts the primed
     ///    distributions and runs SafeML / DeepKnowledge / SINADRA / the
     ///    spoof gate — all per-UAV state.
-    /// 5. **Merge** (serial, fleet order): buffered detection events,
-    ///    spoof alerts, series samples and the altitude adaptation are
-    ///    applied in exactly the serial order.
-    fn step_uavs_sharded(
+    /// 5. **Merge** (fleet order): buffered detection events, the output
+    ///    guard, spoof alerts, series samples and the altitude adaptation.
+    ///
+    /// A one-shard plan runs the finish inline. Every buffer is leased
+    /// from [`TickScratch`], so a steady-state pass allocates nothing of
+    /// its own at any shard count.
+    fn step_uavs(
         &mut self,
         telemetries: &[UavTelemetry],
         now: SimTime,
@@ -1883,44 +1631,43 @@ impl Platform {
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut det_events = std::mem::take(&mut scratch.det_events_per_uav);
         det_events.resize_with(n, Vec::new);
-        let mut plans: Vec<Option<TickPlan>> = Vec::with_capacity(n);
+        let mut slots = std::mem::take(&mut scratch.eddi);
+        slots.clear();
+        slots.resize_with(n, EddiSlot::default);
         for i in 0..n {
             let tel = &telemetries[i];
             self.uav_pre_pass(i, tel, now, visibility, &mut det_events[i]);
-            // Same gating and guard as the serial oracle, at the same
-            // position — so injected and guard faults are bit-identical
-            // across shard policies.
-            let plan = if self.uavs[i].eddi.is_some() && self.uavs[i].quarantine.is_none() {
-                if let Some(fault) = self.eval_guard(i, tel, now) {
-                    self.pending_faults.push(fault);
-                    None
-                } else {
-                    self.metrics.inc(&self.eddi_eval_keys[i]);
-                    let remaining = self.estimated_remaining_mission(tel.uav);
-                    // Invariant: `eddi.is_some()` holds — checked by the
-                    // enclosing condition.
-                    let eddi = self.uavs[i].eddi.as_mut().expect("checked above");
-                    eddi.set_remaining_mission(remaining);
-                    // Unwind safety: a panicking engine is quarantined
-                    // and never ticked again (see the serial path).
-                    match crate::shard::quiet_catch_unwind(|| eddi.begin_tick(tel)) {
-                        Ok(plan) => Some(plan),
-                        Err(payload) => {
-                            self.pending_faults.push(UavFault {
-                                uav: i,
-                                id: tel.uav,
-                                at: now,
-                                phase: FaultPhase::EddiBegin,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            None
-                        }
-                    }
-                }
-            } else {
-                None
-            };
-            plans.push(plan);
+            // SESAME only; a quarantined UAV's engine is frozen — the
+            // revival probe, not the tick, exercises it.
+            if self.uavs[i].eddi.is_none() || self.uavs[i].quarantine.is_some() {
+                continue;
+            }
+            if let Some(fault) = self.eval_guard(i, tel, now) {
+                self.pending_faults.push(fault);
+                continue;
+            }
+            self.metrics.inc(&self.eddi_eval_keys[i]);
+            let remaining = self.estimated_remaining_mission(tel.uav);
+            let rt = &mut self.uavs[i];
+            #[cfg(test)]
+            {
+                rt.log.horizon = remaining;
+            }
+            // Invariant: `eddi.is_some()` was checked above.
+            let eddi = rt.eddi.as_mut().expect("checked above");
+            eddi.set_remaining_mission(remaining);
+            // Unwind safety: a panicking engine is quarantined and never
+            // ticked again (a release promotes a fresh probe engine).
+            match crate::shard::quiet_catch_unwind(|| eddi.begin_tick(tel)) {
+                Ok(plan) => slots[i] = EddiSlot::Planned(plan),
+                Err(payload) => self.pending_faults.push(UavFault {
+                    uav: i,
+                    id: tel.uav,
+                    at: now,
+                    phase: FaultPhase::EddiBegin,
+                    message: panic_message(payload.as_ref()),
+                }),
+            }
         }
 
         span.enter(phase::EDDI_EVAL);
@@ -1932,7 +1679,9 @@ impl Platform {
         let mut class_index = std::mem::take(&mut scratch.class_index);
         class_index.clear();
         for i in 0..n {
-            let Some(plan) = &plans[i] else { continue };
+            let EddiSlot::Planned(plan) = &slots[i] else {
+                continue;
+            };
             let Some(keys) = plan.solve_keys() else {
                 continue;
             };
@@ -1981,9 +1730,8 @@ impl Platform {
         // arena-leased `solved` buffer (`class_span[cid]` is each
         // class's span). A solve that panics faults every member of
         // *every class in its group* — the members would all have hit
-        // the same kernel assertion serially, since they share the rate
-        // matrix and dt that drive it.
-        let jobs = self.shards.len();
+        // the same kernel assertion one by one, since they share the
+        // rate matrix and dt that drive it.
         let mut class_span = std::mem::take(&mut scratch.class_span);
         class_span.clear();
         class_span.resize(classes.len(), Err(String::new()));
@@ -1991,42 +1739,33 @@ impl Platform {
         let mut batch_out = scratch.arena.take_f64(0);
         {
             let uavs = &self.uavs;
-            for (members, &(slot, dt)) in group_members.iter().zip(&group_meta) {
-                let rep0 = classes[members[0]].0;
+            let process = |cid: usize| {
+                let (rep, slot, _) = classes[cid];
                 // Invariant: `classes` was built from UAVs that passed
                 // the eddi.is_some() gate this tick. If it ever breaks,
                 // the catch below faults the group's members instead of
                 // aborting the tick.
-                let rep_proc = uavs[rep0]
+                uavs[rep]
                     .eddi
                     .as_ref()
                     .expect("class representative has an EDDI")
                     .safedrones()
-                    .markov_process(slot);
-                let state_len = rep_proc.distribution().len();
+                    .markov_process(slot)
+            };
+            for (members, &(_, dt)) in group_members.iter().zip(&group_meta) {
                 let batch = &mut scratch.batch;
                 let out = &mut batch_out;
                 let solve = crate::shard::quiet_catch_unwind(|| {
                     // The ref list borrows the member processes, so it
-                    // cannot outlive the tick — a small per-group alloc
-                    // the arena cannot absorb.
-                    let dist_refs: Vec<&[f64]> = members
-                        .iter()
-                        .map(|&cid| {
-                            let (rep, s, _) = classes[cid];
-                            uavs[rep]
-                                .eddi
-                                .as_ref()
-                                .expect("class representative has an EDDI")
-                                .safedrones()
-                                .markov_process(s)
-                                .distribution()
-                        })
-                        .collect();
-                    rep_proc.solve_dists_batch(&dist_refs, dt.as_secs_f64(), out, batch);
+                    // lives inline: groups are as small as the member
+                    // lists that size it.
+                    let mut dists: InlineVec<&[f64], 8> = InlineVec::new();
+                    dists.extend(members.iter().map(|&cid| process(cid).distribution()));
+                    process(members[0]).solve_dists_batch(&dists, dt.as_secs_f64(), out, batch);
                 });
                 match solve {
                     Ok(()) => {
+                        let state_len = process(members[0]).distribution().len();
                         for (d, &cid) in members.iter().enumerate() {
                             let start = solved.len();
                             solved.extend_from_slice(&batch_out[d * state_len..][..state_len]);
@@ -2046,7 +1785,7 @@ impl Platform {
             let failed = (0..MARKOV_SLOTS)
                 .find_map(|slot| class_of[i][slot].and_then(|cid| class_span[cid].as_ref().err()));
             if let Some(message) = failed {
-                plans[i] = None; // skip the finish; the fault quarantines it
+                slots[i] = EddiSlot::Idle; // skip the finish; the fault quarantines it
                 let message = message.clone();
                 self.pending_faults.push(UavFault {
                     uav: i,
@@ -2058,92 +1797,74 @@ impl Platform {
             }
         }
 
-        // Finish each shard's UAVs in parallel: the shard slices are
-        // disjoint `&mut` windows of the fleet, so no state is shared.
-        let shards = &self.shards;
-        let mut plan_chunks: Vec<Vec<Option<TickPlan>>> = Vec::with_capacity(shards.len());
+        // Finish each shard's UAVs: the shard windows are disjoint
+        // `&mut` views of the fleet and its slots, so no state is
+        // shared. Each UAV's finish is individually caught, so one
+        // panicking engine faults one UAV instead of unwinding the shard.
         {
-            let mut it = plans.into_iter();
-            for r in shards {
-                plan_chunks.push(it.by_ref().take(r.len()).collect());
-            }
-        }
-        let mut works: Vec<ShardWork> = Vec::with_capacity(shards.len());
-        {
-            let mut rest = self.uavs.as_mut_slice();
-            for (r, chunk) in shards.iter().zip(plan_chunks) {
-                let (head, tail) = rest.split_at_mut(r.len());
-                works.push((r.start, head, chunk));
-                rest = tail;
-            }
-        }
-        // Each UAV's finish is individually caught, so one panicking
-        // engine faults one UAV instead of unwinding the whole shard.
-        type FinishResult = Result<Option<EddiOutputs>, String>;
-        let outs: Vec<FinishResult> = crate::shard::run_tasks(jobs, works, |_, work| {
-            let start = work.0;
-            let mut shard_outs = Vec::with_capacity(work.1.len());
-            for k in 0..work.1.len() {
-                let i = start + k;
-                let out: FinishResult = match (work.2[k].take(), work.1[k].eddi.as_mut()) {
-                    (Some(plan), Some(eddi)) => {
-                        let tel = &telemetries[i];
-                        let scene = SceneCondition {
-                            altitude_m: tel.true_position.alt_m,
-                            visibility,
-                        };
-                        let mut primes: [Option<&[f64]>; MARKOV_SLOTS] = [None; MARKOV_SLOTS];
-                        for slot in 0..MARKOV_SLOTS {
-                            if let Some(cid) = class_of[i][slot] {
-                                // Invariant: a failed class excised its
-                                // members above, so the lookup hits Ok.
-                                if let Ok(&(start, len)) = class_span[cid].as_ref() {
-                                    primes[slot] = Some(&solved[start..start + len]);
-                                }
-                            }
+            let (class_of, class_span, solved) = (&class_of, &class_span, &solved);
+            let fleet = (self.uavs.as_mut_slice(), slots.as_mut_slice());
+            crate::shard::for_each_shard(&self.shards, fleet, |start, (uavs, slots)| {
+                for (k, (rt, slot)) in uavs.iter_mut().zip(slots.iter_mut()).enumerate() {
+                    let (EddiSlot::Planned(plan), Some(eddi)) =
+                        (std::mem::take(slot), rt.eddi.as_mut())
+                    else {
+                        continue;
+                    };
+                    let i = start + k;
+                    let tel = &telemetries[i];
+                    let scene = SceneCondition {
+                        altitude_m: tel.true_position.alt_m,
+                        visibility,
+                    };
+                    let mut primes: [Option<&[f64]>; MARKOV_SLOTS] = [None; MARKOV_SLOTS];
+                    for (m, prime) in primes.iter_mut().enumerate() {
+                        // Invariant: a failed class excised its members
+                        // above, so the lookup hits Ok.
+                        if let Some(Ok(&(at, len))) =
+                            class_of[i][m].map(|cid| class_span[cid].as_ref())
+                        {
+                            *prime = Some(&solved[at..at + len]);
                         }
-                        // Unwind safety: a panicking engine is
-                        // quarantined and never ticked again.
-                        crate::shard::quiet_catch_unwind(|| {
-                            eddi.finish_tick(tel, &scene, plan, primes)
-                        })
-                        .map(Some)
-                        .map_err(|payload| panic_message(payload.as_ref()))
                     }
-                    _ => Ok(None),
-                };
-                shard_outs.push(out);
-            }
-            shard_outs
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+                    // Unwind safety: a panicking engine is quarantined
+                    // and never ticked again.
+                    *slot = match crate::shard::quiet_catch_unwind(|| {
+                        eddi.finish_tick(tel, &scene, plan, primes)
+                    }) {
+                        Ok(out) => {
+                            #[cfg(test)]
+                            rt.log.record_eddi(i, tel, scene, &out);
+                            EddiSlot::Finished(out)
+                        }
+                        Err(payload) => EddiSlot::Panicked(panic_message(payload.as_ref())),
+                    };
+                }
+            });
+        }
 
         for i in 0..n {
             let tel = &telemetries[i];
             for ev in det_events[i].drain(..) {
                 self.events.push(now, ev);
             }
-            match &outs[i] {
-                Ok(Some(out)) => {
-                    // Output guard at the merge position — exactly where
-                    // the serial oracle checks it.
-                    if let Some(fault) = Self::output_guard(i, tel.uav, out, now) {
+            match std::mem::take(&mut slots[i]) {
+                EddiSlot::Finished(out) => {
+                    if let Some(fault) = Self::output_guard(i, tel.uav, &out, now) {
                         self.pending_faults.push(fault);
                     } else {
-                        self.uavs[i].last_good_outputs = Some(out.clone());
-                        self.apply_eddi_outputs(i, tel, out, now, second_boundary);
+                        self.apply_eddi_outputs(i, tel, &out, now, second_boundary);
+                        self.uavs[i].last_good_outputs = Some(out);
                     }
                 }
-                Ok(None) => {}
-                Err(message) => self.pending_faults.push(UavFault {
+                EddiSlot::Panicked(message) => self.pending_faults.push(UavFault {
                     uav: i,
                     id: tel.uav,
                     at: now,
                     phase: FaultPhase::EddiFinish,
-                    message: message.clone(),
+                    message,
                 }),
+                EddiSlot::Idle | EddiSlot::Planned(_) => {}
             }
             // Trajectory sampling.
             if second_boundary {
@@ -2154,6 +1875,7 @@ impl Platform {
         scratch.arena.give_f64(batch_out);
         scratch.arena.give_f64(solved);
         scratch.det_events_per_uav = det_events;
+        scratch.eddi = slots;
         scratch.class_of = class_of;
         scratch.classes = classes;
         scratch.class_index = class_index;
@@ -2168,11 +1890,12 @@ impl Platform {
     /// The airspace pass: geofence updates plus the separation-risk
     /// monitor. Each subject's nearest-teammate query runs against this
     /// tick's [`AirspaceIndex`] and is a pure function of the telemetry,
-    /// so the queries fan out over the shard ranges (inline for a single
+    /// so the queries fan out over the shard windows (inline for a single
     /// shard); geofence updates, risk assessments and their events then
     /// apply serially in fleet order.
     fn step_airspace(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let sesame = self.config.sesame_enabled;
+        let n = self.uavs.len();
         // A quarantined UAV is excised from the separation monitor (its
         // telemetry may be the corrupt readings that faulted it), as
         // subject and as teammate; the geofence — which watches true
@@ -2186,22 +1909,18 @@ impl Platform {
                 !quarantined[j] && telemetries[j].mode.is_airborne()
             });
         }
-        let shards = &self.shards;
-        let prox = crate::shard::run_indexed(shards.len(), shards.len(), |s| {
-            shards[s]
-                .clone()
-                .map(|i| {
-                    let subject =
-                        sesame && telemetries[i].mode == FlightMode::Mission && !quarantined[i];
-                    if subject {
-                        index.nearest_teammate(i, telemetries)
-                    } else {
-                        None
-                    }
-                })
-                .collect::<Vec<_>>()
+        let mut nearest = std::mem::take(&mut self.scratch.nearest);
+        nearest.clear();
+        nearest.resize(n, None);
+        crate::shard::for_each_shard(&self.shards, nearest.as_mut_slice(), |start, window| {
+            for (k, slot) in window.iter_mut().enumerate() {
+                let i = start + k;
+                if sesame && telemetries[i].mode == FlightMode::Mission && !quarantined[i] {
+                    *slot = index.nearest_teammate(i, telemetries);
+                }
+            }
         });
-        for (i, nearest) in prox.into_iter().flatten().enumerate() {
+        for i in 0..n {
             let tel = &telemetries[i];
             if let Some(status) = self.geofences[i].update(&tel.true_position) {
                 let severity = match status {
@@ -2219,12 +1938,13 @@ impl Platform {
                     },
                 );
             }
-            if let Some((range, converging)) = nearest {
+            if let Some((range, converging)) = nearest[i] {
                 self.assess_separation(i, tel, range, converging, now);
             }
         }
         self.scratch.quarantined = quarantined;
         self.scratch.airspace = index;
+        self.scratch.nearest = nearest;
     }
 
     /// Runs the SINADRA separation assessment for one UAV against its
@@ -2358,9 +2078,9 @@ impl Platform {
 
     /// The containment step: quarantine this tick's isolated faults, run
     /// the revival probes, feed the tick watchdog. Serial and in fleet
-    /// order on both execution plans — the pending faults are sorted by
-    /// fleet index first, so the processing order never depends on which
-    /// plan (or which sub-phase of it) isolated them.
+    /// order — the pending faults are sorted by fleet index first, so the
+    /// processing order never depends on the shard count or on which
+    /// sub-phase of the tick isolated them.
     fn step_containment(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
         let n = self.uavs.len();
         let mut faults = std::mem::take(&mut self.pending_faults);
@@ -2406,11 +2126,11 @@ impl Platform {
         self.step_revival_probes(telemetries, now);
 
         // The logical tick watchdog: a UAV faulting or stalling
-        // `watchdog_trip_after` ticks in a row demotes the sharded tick
-        // to the serial reference path for a cooldown. The demotion
-        // state machine runs on every plan — on an already-serial plan
-        // it is vacuous but its counters still tick, keeping the
-        // wall-clock-free metrics identical across shard policies.
+        // `watchdog_trip_after` ticks in a row demotes the tick to one
+        // shard for a cooldown. The demotion state machine runs on every
+        // plan — on a one-shard plan it is vacuous but its counters
+        // still tick, keeping the wall-clock-free metrics identical
+        // across shard policies.
         let tripped = self.watchdog.observe(&tick_faulted);
         for i in tripped {
             let id = self.uavs[i].handle.id();
@@ -2516,8 +2236,7 @@ impl Platform {
                 .all(|v| v.is_finite());
             if clean {
                 if self.uavs[i].probe_eddi.is_none() {
-                    let fresh = self.fresh_eddi_engine(i);
-                    self.uavs[i].probe_eddi = Some(fresh);
+                    self.uavs[i].probe_eddi = Some(Self::eddi_engine(&self.config, i));
                 }
                 let remaining = self.estimated_remaining_mission(tel.uav);
                 let scene = SceneCondition {
@@ -2568,8 +2287,7 @@ impl Platform {
         // probes, each of which ticked the probe engine.
         self.uavs[i].eddi = Some(promoted.expect("release follows a clean probe streak"));
         if self.uavs[i].conserts.is_some() {
-            let fresh = self.fresh_consert_runtime(i);
-            self.uavs[i].conserts = Some(fresh);
+            self.uavs[i].conserts = Some(IncrementalConsertNetwork::new(id.to_string()));
         }
         self.uavs[i].quarantine = None;
         self.uavs[i].frozen_outputs = None;
@@ -2692,9 +2410,51 @@ impl Platform {
         }
     }
 
+    /// The ConSert pass. Each UAV's decision depends only on its own
+    /// evidence, ConSert cache and telemetry, so the `decide` calls fan
+    /// out over the shard windows (inline for one shard); actuation,
+    /// metrics, traces and events then merge in fleet order (the UAV
+    /// manager's `last_action` edge detection is per-UAV, so the merge
+    /// order preserves its stream).
     fn step_conserts(&mut self, telemetries: &[UavTelemetry], now: SimTime, span: &mut TickSpan) {
         let n = self.uavs.len();
         let airborne: usize = telemetries.iter().filter(|t| t.mode.is_airborne()).count();
+        let mut fallback = std::mem::take(&mut self.scratch.fallback);
+        fallback.clear();
+        fallback.extend((0..n).map(|i| {
+            self.config.supervision.enabled
+                && self.supervisors[i].state() == HealthState::SafeFallback
+        }));
+        let mut decided = std::mem::take(&mut self.scratch.decided);
+        decided.clear();
+        decided.resize(n, None);
+        {
+            let fallback = &fallback;
+            let fleet = (self.uavs.as_mut_slice(), decided.as_mut_slice());
+            crate::shard::for_each_shard(&self.shards, fleet, |start, (uavs, decided)| {
+                for (k, (rt, decision)) in uavs.iter_mut().zip(decided.iter_mut()).enumerate() {
+                    let i = start + k;
+                    // CL landing, quarantine and fallback take their
+                    // static actions at the merge.
+                    if rt.cl_landing || rt.quarantine.is_some() || fallback[i] {
+                        continue;
+                    }
+                    let (Some(eddi), Some(conserts)) = (&rt.eddi, rt.conserts.as_mut()) else {
+                        continue;
+                    };
+                    let tel = &telemetries[i];
+                    let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
+                    let evidence = eddi.evidence(tel, rt.attack_detected, neighbors_available);
+                    // One call answers both the action and the accuracy
+                    // bound — evaluated at most once per tick.
+                    let d = conserts.decide(&evidence);
+                    rt.last_nav_accuracy = d.nav_accuracy_m;
+                    #[cfg(test)]
+                    rt.log.consert.push((i, evidence, d));
+                    *decision = Some(d);
+                }
+            });
+        }
         let mut actions = std::mem::take(&mut self.scratch.actions);
         actions.clear();
         for i in 0..n {
@@ -2714,173 +2474,15 @@ impl Platform {
             // A cut-off UAV is already flying home under supervision
             // authority; declaring it aborting here lets the mission
             // decider redistribute its remaining tasks.
-            if self.config.supervision.enabled
-                && self.supervisors[i].state() == HealthState::SafeFallback
-            {
-                actions.push(UavAction::ReturnToBase);
-                continue;
-            }
-            let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
-            let Some(eddi) = &self.uavs[i].eddi else {
-                actions.push(UavAction::ContinueMission);
-                continue;
-            };
-            let evidence = eddi.evidence(tel, self.uavs[i].attack_detected, neighbors_available);
-            let Some(conserts) = self.uavs[i].conserts.as_mut() else {
-                actions.push(UavAction::ContinueMission);
-                continue;
-            };
-            // One call answers both the action and the accuracy bound —
-            // the fast path evaluates the network at most once per tick.
-            // The UAV name is cached at construction; the reference
-            // catalog keys its network lookup on it every tick.
-            let decision = conserts.decide(&self.uav_names[i], &evidence);
-            let action = decision.action.unwrap_or(UavAction::EmergencyLand);
-            self.uavs[i].last_nav_accuracy = decision.nav_accuracy_m;
-            actions.push(action);
-            let prev = self.manager.last_action(id);
-            if let Some(cmd) = self.manager.translate_action(id, action) {
-                self.sim.command(self.uavs[i].handle, cmd);
-            }
-            if prev != Some(action) {
-                self.metrics.inc("consert.decisions");
-                self.trace.push(
-                    now.as_millis(),
-                    TraceEvent::GuaranteeChanged {
-                        uav: i,
-                        from: prev.map_or_else(|| "none".to_string(), |a| a.to_string()),
-                        to: action.to_string(),
-                    },
-                );
-                self.events.push(
-                    now,
-                    SystemEvent::ConsertDecision {
-                        uav: id,
-                        guarantee: action.to_string(),
-                    },
-                );
-            }
-        }
-        // Mission-level decider.
-        span.enter(phase::DECIDE);
-        let decision = decide_mission(&actions);
-        if decision == MissionDecision::RedistributeTasks {
-            // Redistribute the tasks of every aborting UAV once.
-            for i in 0..n {
-                let id = self.uavs[i].handle.id();
-                if matches!(
-                    actions[i],
-                    UavAction::ReturnToBase | UavAction::EmergencyLand
-                ) {
-                    let capable: Vec<UavId> = (0..n)
-                        .filter(|j| actions[*j].is_mission_capable())
-                        .map(|j| self.uavs[j].handle.id())
-                        .collect();
-                    let moves = self.tasks.redistribute(id, &capable);
-                    for (task, from, to) in moves {
-                        self.events
-                            .push(now, SystemEvent::TaskReallocated { task, from, to });
-                        // Upload the inherited route to the new owner.
-                        if let Some(j) = self.index_of(to) {
-                            let route = self.tasks.remaining_route(to);
-                            self.upload_route(j, route);
-                        }
-                    }
-                }
-            }
-        }
-        self.scratch.actions = actions;
-    }
-
-    /// The sharded ConSert pass. Each UAV's decision depends only on its
-    /// own evidence, ConSert cache and telemetry, so the `decide` calls
-    /// fan out over the disjoint shard slices; actuation, metrics,
-    /// traces and events then merge serially in fleet order, replaying
-    /// the serial tail exactly (the UAV manager's `last_action` edge
-    /// detection is per-UAV, so the merge order preserves its stream).
-    fn step_conserts_sharded(
-        &mut self,
-        telemetries: &[UavTelemetry],
-        now: SimTime,
-        span: &mut TickSpan,
-    ) {
-        let n = self.uavs.len();
-        let airborne: usize = telemetries.iter().filter(|t| t.mode.is_airborne()).count();
-        let mut fallback = std::mem::take(&mut self.scratch.fallback);
-        fallback.clear();
-        fallback.extend((0..n).map(|i| {
-            self.config.supervision.enabled
-                && self.supervisors[i].state() == HealthState::SafeFallback
-        }));
-        let fallback = fallback; // shared by the worker closures below
-                                 // `Some(action)` iff the serial path would have evaluated this
-                                 // UAV's ConSert; the merge distinguishes that from the static
-                                 // CL-landing / fallback / no-runtime actions below.
-        let jobs = self.shards.len();
-        let shards = &self.shards;
-        let uav_names = &self.uav_names;
-        let mut works: Vec<(usize, &mut [UavRt])> = Vec::with_capacity(shards.len());
-        {
-            let mut rest = self.uavs.as_mut_slice();
-            for r in shards {
-                let (head, tail) = rest.split_at_mut(r.len());
-                works.push((r.start, head));
-                rest = tail;
-            }
-        }
-        let decided: Vec<Option<UavAction>> = crate::shard::run_tasks(jobs, works, |_, work| {
-            let start = work.0;
-            let mut shard_actions = Vec::with_capacity(work.1.len());
-            for (k, rt) in work.1.iter_mut().enumerate() {
-                let i = start + k;
-                let tel = &telemetries[i];
-                if rt.cl_landing || rt.quarantine.is_some() || fallback[i] {
-                    shard_actions.push(None);
-                    continue;
-                }
-                let neighbors_available = airborne >= 3 && tel.link_quality > 0.4;
-                let Some(eddi) = &rt.eddi else {
-                    shard_actions.push(None);
-                    continue;
-                };
-                let evidence = eddi.evidence(tel, rt.attack_detected, neighbors_available);
-                let Some(conserts) = rt.conserts.as_mut() else {
-                    shard_actions.push(None);
-                    continue;
-                };
-                // One call answers both the action and the accuracy
-                // bound — evaluated at most once per tick.
-                let decision = conserts.decide(&uav_names[i], &evidence);
-                rt.last_nav_accuracy = decision.nav_accuracy_m;
-                shard_actions.push(Some(decision.action.unwrap_or(UavAction::EmergencyLand)));
-            }
-            shard_actions
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mut actions = std::mem::take(&mut self.scratch.actions);
-        actions.clear();
-        for i in 0..n {
-            let tel = &telemetries[i];
-            let id = tel.uav;
-            if self.uavs[i].cl_landing {
-                actions.push(UavAction::EmergencyLand); // under CL control
-                continue;
-            }
-            // Same order as the serial pass: CL → quarantine → fallback.
-            if self.uavs[i].quarantine.is_some() {
-                actions.push(UavAction::ReturnToBase);
-                continue;
-            }
             if fallback[i] {
                 actions.push(UavAction::ReturnToBase);
                 continue;
             }
-            let Some(action) = decided[i] else {
+            let Some(decision) = decided[i] else {
                 actions.push(UavAction::ContinueMission);
                 continue;
             };
+            let action = decision.action.unwrap_or(UavAction::EmergencyLand);
             actions.push(action);
             let prev = self.manager.last_action(id);
             if let Some(cmd) = self.manager.translate_action(id, action) {
@@ -2935,6 +2537,7 @@ impl Platform {
         }
         self.scratch.actions = actions;
         self.scratch.fallback = fallback;
+        self.scratch.decided = decided;
     }
 
     /// The baseline policy of §V-A: at the first battery symptom (sharp
@@ -3092,10 +2695,10 @@ impl Platform {
         self.uavs.len()
     }
 
-    /// How many shards the tick actually runs in (`1` = the serial
-    /// oracle). Resolved once from the fleet's [`crate::fleet::ShardPolicy`]
-    /// at construction; sharding additionally requires the SESAME stack
-    /// and the EDDI fast path.
+    /// How many shards the tick actually runs in (`1` = everything inline
+    /// on the caller's thread). Resolved once from the fleet's
+    /// [`crate::fleet::ShardPolicy`] at construction; the baseline fleet
+    /// (SESAME off) always runs one shard.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -3113,6 +2716,119 @@ fn handle_of(uavs: &[UavRt], i: usize) -> UavHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceEddiRuntime;
+    use sesame_conserts::catalog::{
+        certified_navigation_accuracy_m, evaluate_uav, uav_consert_network, UavEvidence,
+    };
+
+    /// One main-engine EDDI tick: fleet index, telemetry as fed, scene,
+    /// remaining-mission horizon and the outputs.
+    type EddiRecord = (
+        usize,
+        UavTelemetry,
+        SceneCondition,
+        SimDuration,
+        EddiOutputs,
+    );
+
+    /// What one UAV's engines were fed and answered over a run, in tick
+    /// order. The tick records into it in unit-test builds only.
+    #[derive(Debug, Default)]
+    pub(super) struct UavLog {
+        /// The remaining-mission horizon set on the engine this tick.
+        pub(super) horizon: SimDuration,
+        eddi: Vec<EddiRecord>,
+        /// Every ConSert call: fleet index, evidence and decision.
+        pub(super) consert: Vec<(usize, UavEvidence, ConsertDecision)>,
+    }
+
+    impl UavLog {
+        pub(super) fn record_eddi(
+            &mut self,
+            uav: usize,
+            tel: &UavTelemetry,
+            scene: SceneCondition,
+            out: &EddiOutputs,
+        ) {
+            self.eddi
+                .push((uav, tel.clone(), scene, self.horizon, out.clone()));
+        }
+    }
+
+    /// Every float of an [`EddiOutputs`] as raw bits, plus the discrete
+    /// fields, so two outputs compare bit for bit.
+    fn output_bits(o: &EddiOutputs) -> (Vec<u64>, String) {
+        let r = &o.reliability;
+        let bits = [
+            r.pof,
+            r.pof_propulsion,
+            r.pof_battery,
+            r.pof_energy,
+            r.pof_processor,
+            r.pof_comms,
+            o.safeml_uncertainty,
+            o.dk_uncertainty,
+            o.combined_uncertainty,
+            o.risk.missed_person_prob,
+            o.risk.criticality_high_prob,
+            o.spoof.innovation_m,
+            o.spoof.gate_m,
+        ]
+        .map(f64::to_bits);
+        let discrete = format!(
+            "{:?} {:?} {:?} {:?} {} {}",
+            r.time, r.level, r.action, o.safeml_verdict, o.risk.rescan_advised, o.spoof.spoofed
+        );
+        (bits.to_vec(), discrete)
+    }
+
+    /// Replays every engine call a run recorded through the reference
+    /// engines — one [`ReferenceEddiRuntime`] per UAV, seeded as the
+    /// platform seeds its engines, and the naive ConSert catalog — and
+    /// asserts bit equality on every record.
+    fn assert_lockstep_with_reference(p: &Platform, label: &str) {
+        // One engine per UAV for the whole run: a quarantine release
+        // would swap in a probe engine the replay does not model.
+        assert_eq!(p.metrics().counter("uav.quarantine.entered"), 0, "{label}");
+        let (mut eddi_records, mut consert_records, mut evals) = (0, 0, 0);
+        for (i, u) in p.uavs.iter().enumerate() {
+            let seed = p.config.seed ^ ((i as u64 + 1) << 16);
+            let mut reference =
+                ReferenceEddiRuntime::new(seed, p.config.safedrones.clone(), Platform::origin());
+            for (k, (uav, tel, scene, horizon, out)) in u.log.eddi.iter().enumerate() {
+                assert_eq!(*uav, i, "{label}: record filed under the wrong UAV");
+                reference.set_remaining_mission(*horizon);
+                let want = reference.tick(tel, scene);
+                assert_eq!(
+                    output_bits(out),
+                    output_bits(&want),
+                    "{label}: uav{i} EDDI tick {k} diverged from the reference"
+                );
+            }
+            let name = u.handle.id().to_string();
+            let net = uav_consert_network(&name);
+            for (k, (uav, evidence, decision)) in u.log.consert.iter().enumerate() {
+                assert_eq!(*uav, i, "{label}: record filed under the wrong UAV");
+                let action = evaluate_uav(&net, &name, evidence);
+                let nav = certified_navigation_accuracy_m(&net, &name, evidence);
+                assert_eq!(decision.action, action, "{label}: uav{i} decision {k}");
+                assert_eq!(
+                    decision.nav_accuracy_m.map(f64::to_bits),
+                    nav.map(f64::to_bits),
+                    "{label}: uav{i} nav accuracy {k}"
+                );
+            }
+            eddi_records += u.log.eddi.len() as u64;
+            consert_records += u.log.consert.len();
+            evals += p.metrics().counter(&format!("eddi.evals.uav{i}"));
+        }
+        assert!(eddi_records > 0, "{label}: nothing recorded");
+        assert!(consert_records > 0, "{label}: no ConSert call recorded");
+        assert_eq!(
+            eddi_records, evals,
+            "{label}: an EDDI evaluation went unrecorded"
+        );
+    }
 
     fn quick_config() -> PlatformConfig {
         PlatformConfig {
@@ -3430,59 +3146,84 @@ mod tests {
         assert_eq!(m.counter("commands.retry_exhausted"), 0);
     }
 
-    /// A fast-path platform and a reference-path platform stepped in
-    /// lockstep from the same seed agree bit for bit on every recorded
-    /// series and decision — only the cache counters differ.
+    /// The one tick pipeline against the reference engines, record by
+    /// record, on a one-shard 3-UAV run. A battery fault and a GPS loss
+    /// move the SafeDrones rates and flip the ConSert evidence mid-run,
+    /// so the replay covers cache misses, not only a steady state.
     #[test]
-    fn eddi_fast_path_matches_reference_run() {
-        let mut fast = Platform::new(quick_config());
-        let mut cfg = quick_config();
-        cfg.eddi_fast_path = false;
-        let mut reference = Platform::new(cfg);
-        fast.launch();
-        reference.launch();
-        for _ in 0..80 {
-            fast.step();
-            reference.step();
-        }
-        let (f, r) = (fast.series(), reference.series());
-        assert_eq!(f.pof().len(), r.pof().len());
-        for (a, b) in f.pof().iter().zip(r.pof()) {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "pof diverged at t={}", a.0);
-        }
-        for (a, b) in f.uncertainty().iter().zip(r.uncertainty()) {
-            assert_eq!(
-                a.1.to_bits(),
-                b.1.to_bits(),
-                "uncertainty diverged at t={}",
-                a.0
-            );
-        }
-        for i in 0..fast.uav_count() {
-            assert_eq!(
-                fast.certified_nav_accuracy_m(i),
-                reference.certified_nav_accuracy_m(i),
-                "nav accuracy diverged for uav{i}"
-            );
-        }
-        assert_eq!(
-            fast.events().iter().count(),
-            reference.events().iter().count()
+    fn one_shard_run_locksteps_with_the_reference_engines() {
+        use sesame_uav_sim::faults::FaultKind;
+
+        let mut p = Platform::new(quick_config());
+        assert_eq!(p.shard_count(), 1);
+        let faults = p.sim_mut().faults_mut();
+        faults.add(
+            SimTime::from_secs(5),
+            UavId::new(1),
+            FaultKind::BatteryOverTemp { soc_drop: 0.4 },
         );
-        // The fast path actually cached; the reference path reports zero.
-        assert!(fast.metrics().counter("eddi.cache.hit") > 0);
-        assert_eq!(reference.metrics().counter("eddi.cache.hit"), 0);
-        assert_eq!(reference.metrics().counter("eddi.cache.miss"), 0);
+        faults.add(SimTime::from_secs(7), UavId::new(2), FaultKind::GpsLoss);
+        p.launch();
+        for _ in 0..120 {
+            p.step();
+        }
+        assert_lockstep_with_reference(&p, "3 UAVs, 1 shard");
+        let changed = |u: &UavRt| {
+            let log = &u.log.consert;
+            let evidence_flips = log.windows(2).any(|w| w[0].1 != w[1].1);
+            let decision_flips = log.windows(2).any(|w| w[0].2 != w[1].2);
+            (evidence_flips, decision_flips)
+        };
+        assert!(
+            p.uavs.iter().any(|u| changed(u) == (true, true)),
+            "the faults must flip the evidence and a decision"
+        );
     }
 
+    /// The same replay on a 12-UAV fleet split into two shards, where the
+    /// batched solve primes distributions across UAVs.
     #[test]
-    fn builder_sets_eddi_fast_path() {
-        let cfg = PlatformConfig::builder()
-            .eddi_fast_path(false)
-            .build()
-            .expect("valid config");
-        assert!(!cfg.eddi_fast_path);
-        assert!(PlatformConfig::default().eddi_fast_path, "fast by default");
+    fn two_shard_run_locksteps_with_the_reference_engines() {
+        let mut cfg = quick_config();
+        cfg.fleet = FleetSpec::builder()
+            .uavs(12)
+            .shard_policy(crate::fleet::ShardPolicy::Fixed { shards: 2 })
+            .build();
+        let mut p = Platform::new(cfg);
+        assert_eq!(p.shard_count(), 2);
+        p.launch();
+        for _ in 0..80 {
+            p.step();
+        }
+        assert_lockstep_with_reference(&p, "12 UAVs, 2 shards");
+    }
+
+    /// The replay across a link blackout: supervision demotes uav1 to
+    /// SafeFallback and back, the ConSert evidence flips, and the caches
+    /// must invalidate without drifting from the reference.
+    #[test]
+    fn link_blackout_episode_locksteps_with_the_reference_engines() {
+        use sesame_middleware::chaos::CommFaultKind;
+
+        let mut p = Platform::new(PlatformConfig {
+            seed: 7,
+            ..quick_config()
+        });
+        p.launch();
+        for _ in 0..50 {
+            p.step();
+        }
+        let now = p.now();
+        p.comm_faults_mut().schedule(
+            now,
+            SimDuration::from_secs(10),
+            CommFaultKind::LinkBlackout { uav: UavId::new(1) },
+        );
+        for _ in 0..150 {
+            p.step();
+        }
+        assert!(p.metrics().counter("supervision.to_safe_fallback") >= 1);
+        assert_lockstep_with_reference(&p, "link blackout, seed 7");
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! RNGs in exactly the same order as the fast runtime, so a fast and a
 //! reference runtime built from the same seed hold bit-identical models,
 //! and the conformance suite can lockstep their tick outputs.
+//!
+//! It is an oracle only: [`crate::orchestrator::Platform`] always runs
+//! the fast runtime. The orchestrator's unit tests replay every EDDI
+//! tick a platform run makes through one reference runtime per UAV.
 
 use sesame_conserts::catalog::UavEvidence;
 use sesame_deepknowledge::nn::{Activation, Mlp};

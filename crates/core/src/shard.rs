@@ -27,6 +27,10 @@
 //!   `split_at_mut`) is handed to exactly one worker, satisfying the
 //!   aliasing rules without any unsafe code.
 //!
+//! The platform tick drives its fan-outs through [`for_each_shard`],
+//! which carves index-aligned slices into shard windows and runs a
+//! single-shard plan inline, without allocating.
+//!
 //! A panic inside `f` never crosses a thread boundary raw: the worker
 //! catches it at the task that raised it, so no slot mutex is ever
 //! poisoned and the scoped join always succeeds. The `try_` variants
@@ -65,6 +69,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
@@ -362,7 +367,7 @@ fn resume_first<T>(results: Vec<Result<T, TaskPanic>>) -> Vec<T> {
 /// item when.
 ///
 /// With `jobs <= 1` (or a single item) no threads are spawned and the
-/// items run inline in index order — the serial reference path. The
+/// items run inline in index order on the caller's thread. The
 /// parallel path produces the exact same `Vec` because every item's
 /// result is placed by index, not by arrival.
 ///
@@ -500,6 +505,71 @@ where
                 .expect("barrier opened, so every claimed slot was filled")
         })
         .collect()
+}
+
+/// Index-aligned per-item slices that [`for_each_shard`] carves into
+/// disjoint shard windows: one `&mut [T]`, or a tuple of them split at
+/// the same boundaries (e.g. the fleet plus a per-UAV result buffer).
+pub trait ShardSlices: Send + Sized {
+    /// Splits off the first `mid` items of every slice.
+    fn split_shard(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> ShardSlices for &mut [T] {
+    fn split_shard(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: ShardSlices, B: ShardSlices> ShardSlices for (A, B) {
+    fn split_shard(self, mid: usize) -> (Self, Self) {
+        let (a_head, a_tail) = self.0.split_shard(mid);
+        let (b_head, b_tail) = self.1.split_shard(mid);
+        ((a_head, b_head), (a_tail, b_tail))
+    }
+}
+
+/// Runs `f(range.start, window)` once per shard, where `window` is the
+/// `range` part of `items` and `ranges` partitions `0..len` contiguously
+/// in order (see [`crate::fleet::shard_ranges`]). Results go through the
+/// windows, so nothing is collected.
+///
+/// A single range calls `f` inline on the caller's thread and allocates
+/// nothing; a panic then unwinds unchanged. Several ranges fan out
+/// through [`run_tasks`], one job per range, which re-raises the first
+/// panic with its shard index prepended.
+///
+/// ```
+/// use sesame_core::shard;
+///
+/// let mut data = vec![1, 2, 3, 4, 5];
+/// let mut starts = vec![0; 5];
+/// shard::for_each_shard(&[0..2, 2..5], (&mut data[..], &mut starts[..]), |start, (xs, ss)| {
+///     xs.iter_mut().for_each(|x| *x *= 10);
+///     ss.iter_mut().for_each(|s| *s = start);
+/// });
+/// assert_eq!(data, vec![10, 20, 30, 40, 50]);
+/// assert_eq!(starts, vec![0, 0, 2, 2, 2]);
+/// ```
+pub fn for_each_shard<S, F>(ranges: &[Range<usize>], items: S, f: F)
+where
+    S: ShardSlices,
+    F: Fn(usize, S) + Sync,
+{
+    if let [only] = ranges {
+        return f(only.start, items);
+    }
+    let mut works = Vec::with_capacity(ranges.len());
+    let mut rest = items;
+    for r in ranges {
+        let (head, tail) = rest.split_shard(r.len());
+        works.push(Some((r.start, head)));
+        rest = tail;
+    }
+    run_tasks(ranges.len(), works, |_, work| {
+        let (start, window) = work.take().expect("each shard runs once");
+        f(start, window);
+    });
 }
 
 #[cfg(test)]

@@ -115,9 +115,9 @@ pub struct SupervisionConfig {
     /// `revival_backoff_ticks << revival_backoff_cap`).
     pub revival_backoff_cap: u32,
     /// Consecutive faulty ticks of one UAV that trip the tick watchdog
-    /// and demote the sharded tick to the serial reference path.
+    /// and demote the tick to one shard.
     pub watchdog_trip_after: u64,
-    /// Ticks the watchdog keeps the tick demoted to serial after a trip.
+    /// Ticks the watchdog keeps the tick demoted to one shard after a trip.
     pub watchdog_cooldown_ticks: u64,
 }
 

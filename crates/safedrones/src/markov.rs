@@ -47,6 +47,11 @@ use sesame_types::inline::InlineVec;
 /// touch the heap (see DESIGN.md § "Hot-loop memory discipline").
 const SOLVE_KEY_INLINE: usize = 48;
 
+/// Inline capacity of a [`ProfileKey`]: rate-matrix words (`n² ≤ 36`)
+/// plus the step. Built per solve class every tick by the fleet
+/// scheduler, so, like [`SolveKey`], it stays off the heap.
+const PROFILE_KEY_INLINE: usize = 40;
+
 /// A continuous-time Markov chain over states `0..n`.
 ///
 /// # Examples
@@ -335,6 +340,9 @@ pub struct UniformizationScratch {
 pub struct BatchSolveScratch {
     stacked: Vec<f64>,
     uniform: UniformizationScratch,
+    /// The profile of a representative whose cache is stale (its rates
+    /// moved since its last advance), rebuilt here in place.
+    profile: SolveProfile,
 }
 
 /// A value-identity key for one transient solve: the exact bit patterns
@@ -365,7 +373,7 @@ impl SolveKey {
 /// pass ([`CtmcProcess::solve_dists_batch`]) with bit-identical results,
 /// even when their distributions differ.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProfileKey(Vec<u64>);
+pub struct ProfileKey(InlineVec<u64, PROFILE_KEY_INLINE>);
 
 impl ProfileKey {
     /// Number of packed words (rates + dt).
@@ -392,7 +400,7 @@ pub struct SolverCacheStats {
 /// per-state exit rates and the (uninflated) uniformization rate Λ. Both
 /// depend only on the rate matrix, so they are reusable across ticks as
 /// long as the rates are bit-identical.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SolveProfile {
     rates_bits: Vec<u64>,
     exits: Vec<f64>,
@@ -401,14 +409,21 @@ struct SolveProfile {
 
 impl SolveProfile {
     fn build(chain: &Ctmc) -> Self {
-        let n = chain.len();
-        let exits: Vec<f64> = (0..n).map(|i| chain.exit_rate(i)).collect();
-        let lambda_raw = exits.iter().copied().fold(0.0_f64, f64::max);
-        SolveProfile {
-            rates_bits: chain.rates.iter().map(|r| r.to_bits()).collect(),
-            exits,
-            lambda_raw,
-        }
+        let mut profile = SolveProfile::default();
+        profile.rebuild(chain);
+        profile
+    }
+
+    /// Recomputes the profile for `chain` in place: once the buffers
+    /// have held a chain of this size, a rebuild allocates nothing.
+    fn rebuild(&mut self, chain: &Ctmc) {
+        self.exits.clear();
+        self.exits
+            .extend((0..chain.len()).map(|i| chain.exit_rate(i)));
+        self.lambda_raw = self.exits.iter().copied().fold(0.0_f64, f64::max);
+        self.rates_bits.clear();
+        self.rates_bits
+            .extend(chain.rates.iter().map(|r| r.to_bits()));
     }
 
     fn matches(&self, chain: &Ctmc) -> bool {
@@ -511,13 +526,7 @@ impl CtmcProcess {
             self.dist = self.chain.transient(&self.dist, dt_secs);
             return;
         }
-        let fresh = !matches!(&self.cache, Some(profile) if profile.matches(&self.chain));
-        if fresh {
-            self.cache = Some(Box::new(SolveProfile::build(&self.chain)));
-            self.stats.misses += 1;
-        } else {
-            self.stats.hits += 1;
-        }
+        self.refresh_profile();
         let profile = self.cache.as_ref().expect("profile just ensured");
         // Solve in place through the persistent scratch: with a warm
         // cache and warm buffers this path performs zero heap
@@ -532,6 +541,23 @@ impl CtmcProcess {
             &mut self.scratch,
         );
         std::mem::swap(&mut self.dist, &mut self.solve_out);
+    }
+
+    /// Brings the cached profile up to the current rates, counting a hit
+    /// when it already matches and a miss when it had to be rebuilt. A
+    /// rebuild reuses the cached profile's buffers.
+    fn refresh_profile(&mut self) {
+        match &mut self.cache {
+            Some(profile) if profile.matches(&self.chain) => self.stats.hits += 1,
+            Some(profile) => {
+                profile.rebuild(&self.chain);
+                self.stats.misses += 1;
+            }
+            None => {
+                self.cache = Some(Box::new(SolveProfile::build(&self.chain)));
+                self.stats.misses += 1;
+            }
+        }
     }
 
     /// The solve identity of the *next* [`CtmcProcess::advance`] call with
@@ -551,7 +577,7 @@ impl CtmcProcess {
     /// Poisson weights, so they can be advanced together with
     /// [`CtmcProcess::solve_dists_batch`].
     pub fn profile_key(&self, dt_secs: f64) -> ProfileKey {
-        let mut bits = Vec::with_capacity(self.chain.rates.len() + 1);
+        let mut bits: InlineVec<u64, PROFILE_KEY_INLINE> = InlineVec::new();
         bits.extend(self.chain.rates.iter().map(|r| r.to_bits()));
         bits.push(dt_secs.to_bits());
         ProfileKey(bits)
@@ -563,8 +589,9 @@ impl CtmcProcess {
     /// pass. Results land in `out`, dist-major (`out[d*n..][..n]` is the
     /// advanced `dists[d]`), and are bit-identical to calling
     /// [`CtmcProcess::solve_dist`] once per distribution. Does not mutate
-    /// the process; with warm buffers the pass allocates nothing beyond a
-    /// cold profile rebuild.
+    /// the process; with warm buffers the pass allocates nothing, even when
+    /// this process's cached profile is stale (the profile is then rebuilt
+    /// in `scratch`).
     ///
     /// # Panics
     ///
@@ -583,31 +610,22 @@ impl CtmcProcess {
             assert_eq!(d.len(), n, "batched distribution size mismatch");
             scratch.stacked.extend_from_slice(d);
         }
-        match &self.cache {
-            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => {
-                self.chain.uniformize_into(
-                    &scratch.stacked,
-                    dists.len(),
-                    dt_secs,
-                    1e-12,
-                    profile,
-                    out,
-                    &mut scratch.uniform,
-                );
-            }
+        let profile = match &self.cache {
+            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => profile,
             _ => {
-                let profile = SolveProfile::build(&self.chain);
-                self.chain.uniformize_into(
-                    &scratch.stacked,
-                    dists.len(),
-                    dt_secs,
-                    1e-12,
-                    &profile,
-                    out,
-                    &mut scratch.uniform,
-                );
+                scratch.profile.rebuild(&self.chain);
+                &scratch.profile
             }
-        }
+        };
+        self.chain.uniformize_into(
+            &scratch.stacked,
+            dists.len(),
+            dt_secs,
+            1e-12,
+            profile,
+            out,
+            &mut scratch.uniform,
+        );
     }
 
     /// Computes the distribution [`CtmcProcess::advance`] would assign for
@@ -648,13 +666,7 @@ impl CtmcProcess {
         };
         assert_eq!(dist.len(), self.dist.len(), "primed distribution size");
         if self.cache_enabled {
-            let fresh = !matches!(&self.cache, Some(profile) if profile.matches(&self.chain));
-            if fresh {
-                self.cache = Some(Box::new(SolveProfile::build(&self.chain)));
-                self.stats.misses += 1;
-            } else {
-                self.stats.hits += 1;
-            }
+            self.refresh_profile();
         }
         // Copy in place; adopting a primed distribution allocates nothing.
         self.dist.clear();

@@ -64,10 +64,10 @@ pub struct SecurityEddi {
     /// Per-UAV triggered leaf sets.
     triggered: HashMap<UavId, HashSet<String>>,
     detected_at: HashMap<UavId, SimTime>,
-    /// Fast path: the flattened tree plus per-UAV memoized evaluation
-    /// states, maintained incrementally as alerts arrive. `None` keeps
-    /// the naive rebuild-per-query behaviour.
-    indexed: Option<IndexedTree>,
+    /// The flattened tree plus per-UAV memoized evaluation states,
+    /// maintained incrementally as alerts arrive, so a `root_reached`
+    /// query costs O(1) instead of a full tree rebuild.
+    indexed: IndexedTree,
     states: HashMap<UavId, IndexedTreeState>,
 }
 
@@ -77,33 +77,13 @@ impl SecurityEddi {
     pub fn attach(tree: AttackTree, broker: &mut AlertBroker) -> Self {
         let subscription = broker.subscribe("ids/alerts/#");
         SecurityEddi {
+            indexed: IndexedTree::new(&tree),
             tree,
             subscription,
             triggered: HashMap::new(),
             detected_at: HashMap::new(),
-            indexed: None,
             states: HashMap::new(),
         }
-    }
-
-    /// Switches `root_reached` queries to the memoized [`IndexedTree`]
-    /// evaluation (O(depth) per alert instead of a full tree rebuild per
-    /// query). Satisfaction is exact boolean algebra, so answers are
-    /// identical to the naive walk; existing trigger state is re-indexed.
-    pub fn enable_fast_path(&mut self) {
-        let ix = IndexedTree::new(&self.tree);
-        self.states = self
-            .triggered
-            .iter()
-            .map(|(uav, set)| {
-                let mut st = ix.state();
-                for leaf in set {
-                    st.trigger(&ix, leaf);
-                }
-                (*uav, st)
-            })
-            .collect();
-        self.indexed = Some(ix);
     }
 
     /// The monitored tree.
@@ -128,12 +108,11 @@ impl SecurityEddi {
                 .entry(*subject)
                 .or_default()
                 .insert(rule.clone());
-            if let Some(ix) = &self.indexed {
-                self.states
-                    .entry(*subject)
-                    .or_insert_with(|| ix.state())
-                    .trigger(ix, rule);
-            }
+            let ix = &self.indexed;
+            self.states
+                .entry(*subject)
+                .or_insert_with(|| ix.state())
+                .trigger(ix, rule);
             if !was_reached && self.root_reached(*subject) {
                 self.detected_at.insert(*subject, now);
                 fresh.push(self.status_for(*subject));
@@ -144,19 +123,10 @@ impl SecurityEddi {
 
     /// Whether the tree root is currently reached for `uav`.
     pub fn root_reached(&self, uav: UavId) -> bool {
-        if let Some(ix) = &self.indexed {
-            return match self.states.get(&uav) {
-                Some(st) => st.root_satisfied(),
-                None => ix.state().root_satisfied(),
-            };
+        match self.states.get(&uav) {
+            Some(st) => st.root_satisfied(),
+            None => self.indexed.state().root_satisfied(),
         }
-        let mut state = self.tree.fresh_state();
-        if let Some(set) = self.triggered.get(&uav) {
-            for leaf in set {
-                state.trigger(leaf);
-            }
-        }
-        state.root_reached()
     }
 
     /// The full status for one UAV.
@@ -276,15 +246,25 @@ mod tests {
         assert_eq!(gps.poll(&mut broker, SimTime::ZERO).len(), 1);
     }
 
-    /// A naive EDDI and a fast-path EDDI fed the identical alert stream
-    /// must agree on every detection, status and `root_reached` answer.
+    /// The naive oracle: rebuild the tree state from the trigger sets and
+    /// walk it, as every query did before the indexed evaluation.
+    fn naive_root_reached(eddi: &SecurityEddi, uav: UavId) -> bool {
+        let mut state = eddi.tree.fresh_state();
+        if let Some(set) = eddi.triggered.get(&uav) {
+            for leaf in set {
+                state.trigger(leaf);
+            }
+        }
+        state.root_reached()
+    }
+
+    /// The indexed evaluation must agree with the naive rebuild-per-query
+    /// walk on every `root_reached` answer, and `poll` must report a
+    /// detection exactly when the naive root flips to reached.
     #[test]
     fn fast_path_locksteps_with_naive_eddi() {
-        let mut naive_broker = AlertBroker::new();
-        let mut fast_broker = AlertBroker::new();
-        let mut naive = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut naive_broker);
-        let mut fast = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut fast_broker);
-        fast.enable_fast_path();
+        let mut broker = AlertBroker::new();
+        let mut eddi = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut broker);
         let uavs = [UavId::new(1), UavId::new(2), UavId::new(3)];
         let rules = [
             "unsigned_publisher",
@@ -292,36 +272,33 @@ mod tests {
             "gps_anomaly",        // belongs to another tree: must be skipped
             "unsigned_publisher", // duplicate: must be a no-op
         ];
+        let mut detections = 0;
         for (k, rule) in rules.iter().cycle().take(24).enumerate() {
             let uav = uavs[k % uavs.len()];
             let at = SimTime::from_millis(k as u64 * 100);
-            publish_alert(&mut naive_broker, uav, rule, at);
-            publish_alert(&mut fast_broker, uav, rule, at);
-            let a = naive.poll(&mut naive_broker, at);
-            let b = fast.poll(&mut fast_broker, at);
-            assert_eq!(a, b, "poll diverged at step {k}");
+            let before = naive_root_reached(&eddi, uav);
+            publish_alert(&mut broker, uav, rule, at);
+            let fresh = eddi.poll(&mut broker, at);
+            let flipped = !before && naive_root_reached(&eddi, uav);
+            assert_eq!(
+                fresh.len(),
+                usize::from(flipped),
+                "poll diverged at step {k}"
+            );
+            if flipped {
+                assert_eq!(fresh[0].uav, uav);
+                assert_eq!(fresh[0].status, TreeStatus::RootReached);
+                detections += 1;
+            }
             for u in uavs {
-                assert_eq!(naive.root_reached(u), fast.root_reached(u));
-                assert_eq!(naive.status_for(u), fast.status_for(u));
+                assert_eq!(eddi.root_reached(u), naive_root_reached(&eddi, u));
             }
         }
-        // Clearing must reset both identically.
-        naive.clear(uavs[0]);
-        fast.clear(uavs[0]);
-        assert_eq!(naive.root_reached(uavs[0]), fast.root_reached(uavs[0]));
-    }
-
-    /// Enabling the fast path mid-stream re-indexes existing triggers.
-    #[test]
-    fn enable_fast_path_reindexes_existing_state() {
-        let mut broker = AlertBroker::new();
-        let mut eddi = SecurityEddi::attach(catalog::ros_message_spoofing(), &mut broker);
-        let uav = UavId::new(7);
-        publish_alert(&mut broker, uav, "unsigned_publisher", SimTime::ZERO);
-        publish_alert(&mut broker, uav, "waypoint_deviation", SimTime::ZERO);
-        assert_eq!(eddi.poll(&mut broker, SimTime::ZERO).len(), 1);
-        eddi.enable_fast_path();
-        assert!(eddi.root_reached(uav), "re-indexed state keeps the root");
+        assert!(detections > 0, "the stream must reach the root");
+        // Clearing resets the indexed state with the trigger sets.
+        eddi.clear(uavs[0]);
+        assert!(!eddi.root_reached(uavs[0]));
+        assert!(!naive_root_reached(&eddi, uavs[0]));
         assert!(!eddi.root_reached(UavId::new(99)));
     }
 

@@ -115,10 +115,10 @@ gate BENCH_fleet.json uav_ticks_per_sec 0.5 fleetbench
 # probes, watchdog demotion). Floors only — the faulted/clean ratio
 # wobbles because quarantined UAVs skip EDDI work.
 gate BENCH_recovery.json uav_ticks_per_sec 0.5 fleetbench-recovery
-# tickbench's headline is the whole-platform speedup on the 3-UAV steady
-# state (fast vs reference engines inside the same process) plus an
-# absolute ticks/sec floor.
-gate BENCH_tick.json speedup       0.8 tickbench
+# tickbench's headline is the whole-platform 3-UAV steady state; the
+# platform runs only the fast engines, so only the absolute ticks/sec
+# floor is gated (eddibench's speedup gate holds the fast engines
+# against the reference engines).
 gate BENCH_tick.json ticks_per_sec 0.5 tickbench
 # Campaign-service soak: absolute throughput floors (loose, wall-clock
 # bound) plus a tail-latency ceiling — submit→complete p99 more than 4x

@@ -295,12 +295,7 @@ fn auto_policy_scales_with_fleet_size() {
     assert_eq!(small.shard_count(), 1, "3 UAVs stay serial under Auto");
     let large = Platform::new(config(5, 64, ShardPolicy::Auto));
     assert!(large.shard_count() >= 1);
-    // Sharding requires the fast path: the reference engines always run
-    // the serial oracle regardless of policy.
-    let mut cfg = config(5, 64, ShardPolicy::Fixed { shards: 4 });
-    cfg.eddi_fast_path = false;
-    assert_eq!(Platform::new(cfg).shard_count(), 1);
-    // ... and the SESAME stack: the baseline fleet has no EDDIs to batch.
+    // The baseline fleet (SESAME off) has no EDDIs to batch: one shard.
     let mut cfg = config(5, 64, ShardPolicy::Fixed { shards: 4 });
     cfg.sesame_enabled = false;
     assert_eq!(Platform::new(cfg).shard_count(), 1);
