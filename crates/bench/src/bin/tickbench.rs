@@ -1,6 +1,6 @@
 //! Whole-platform tick benchmark: end-to-end `Platform::step`
 //! throughput and heap allocations per tick of the one tick pipeline
-//! (incremental EDDI, arena-backed tick scratch, batched CTMC solves),
+//! (incremental EDDI, reused tick scratch, per-UAV Markov solves),
 //! across 3/50/200-UAV fleets.
 //!
 //! ```text

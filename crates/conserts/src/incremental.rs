@@ -18,14 +18,14 @@
 //! so replaying a stored decision for equal evidence is exact.
 //!
 //! Cache **misses** are allocation-free too: at construction the gate
-//! trees are compiled to an index-based form ([`CompiledTree`]) — evidence
-//! leaves become fingerprint bit tests, demands become
-//! `(certificate, guarantee)` indices into a per-certificate fulfilled
-//! bitset — so a re-evaluation walks the same trees in the same order as
-//! [`ConsertNetwork::evaluate`] without touching a `String` or a
-//! `HashMap` (see DESIGN.md § "Hot-loop memory discipline"). The
-//! all-1024-masks conformance test locksteps the compiled evaluator
-//! against the naive path.
+//! trees are compiled to an index-based form (the private
+//! `CompiledTree`) — evidence leaves become fingerprint bit tests,
+//! demands become `(certificate, guarantee)` indices into a
+//! per-certificate fulfilled bitset — so a re-evaluation walks the same
+//! trees in the same order as [`ConsertNetwork::evaluate`] without
+//! touching a `String` or a `HashMap` (see DESIGN.md § "Hot-loop memory
+//! discipline"). The all-1024-masks conformance test locksteps the
+//! compiled evaluator against the naive path.
 
 use crate::catalog::{self, UavAction, UavEvidence};
 use crate::engine::ConsertNetwork;

@@ -21,7 +21,7 @@
 //!   exponential backoff of the revival probe.
 //!
 //! Everything here is plain data plus pure bookkeeping; the actual
-//! `catch_unwind` sites, excision from solve-class dedup / airspace /
+//! `catch_unwind` sites, excision from EDDI evaluation / airspace /
 //! ConSert composition, and the revival probe's fresh-engine ticks live
 //! in `core::orchestrator`, where the state they guard lives.
 
@@ -36,8 +36,8 @@ pub use crate::shard::{panic_message, TaskPanic};
 /// Injected faults ([`ComputeFaultKind::EddiPanic`]) and the input /
 /// output validation guards fire in fleet order on the caller's thread,
 /// so their fault records are bit-identical across shard policies. The
-/// organic phases (`EddiBegin`/`EddiSolve`/`EddiFinish`) name the step
-/// of the split EDDI tick that caught an unexpected unwind.
+/// organic phase (`EddiTick`) is an unexpected unwind out of the UAV's
+/// own EDDI tick, caught inside the shard fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPhase {
     /// A scheduled [`ComputeFaultKind::EddiPanic`] fired at the head of
@@ -49,13 +49,8 @@ pub enum FaultPhase {
     /// The EDDI produced a non-finite probability-of-failure or
     /// combined uncertainty.
     Output,
-    /// Organic panic inside the tick's `begin_tick` pre-pass.
-    EddiBegin,
-    /// Organic panic inside a batched solve-class Markov solve; faults
-    /// every UAV of the class (they share the solve bit-for-bit).
-    EddiSolve,
-    /// Organic panic inside the tick's `finish_tick`.
-    EddiFinish,
+    /// Organic panic inside the UAV's EDDI tick.
+    EddiTick,
 }
 
 impl FaultPhase {
@@ -65,9 +60,7 @@ impl FaultPhase {
             FaultPhase::Injected => "injected",
             FaultPhase::Telemetry => "telemetry",
             FaultPhase::Output => "output",
-            FaultPhase::EddiBegin => "eddi_begin",
-            FaultPhase::EddiSolve => "eddi_solve",
-            FaultPhase::EddiFinish => "eddi_finish",
+            FaultPhase::EddiTick => "eddi_tick",
         }
     }
 }

@@ -4,10 +4,8 @@
 //! hundreds. [`FleetSpec`] describes a fleet as an ordered list of
 //! [`FleetGroup`]s — each a run of UAVs sharing one [`UavProfile`] — plus
 //! a [`ShardPolicy`] that partitions the per-UAV tick work across worker
-//! threads. UAVs in a group share airframe parameters and therefore
-//! (initially) identical Markov rate matrices, which the fleet-wide
-//! batched EDDI solve exploits: one CTMC solve per distinct
-//! [`sesame_safedrones::SolveKey`] serves every UAV in the class.
+//! threads. Each UAV ticks its own EDDI runtime, Markov solves included,
+//! inside its shard.
 //!
 //! Sharding never changes results. Every partition — including
 //! [`ShardPolicy::Serial`] — produces bit-identical series, events,

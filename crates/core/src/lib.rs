@@ -11,7 +11,7 @@
 //!
 //! * [`eddi`] — the per-UAV executable EDDI runtime (the incremental
 //!   fast path);
-//! * [`reference`] — the naive reference runtime the fast path is
+//! * [`mod@reference`] — the naive reference runtime the fast path is
 //!   lockstep-verified against (a test oracle: the platform never runs
 //!   it);
 //! * [`platform`] — UAV manager, task manager, database manager, ground

@@ -18,7 +18,7 @@ use crate::airspace::AirspaceIndex;
 use crate::containment::{
     panic_message, ComputeFaultPlane, FaultPhase, QuarantineCell, TickWatchdog, UavFault,
 };
-use crate::eddi::{EddiCacheStats, EddiOutputs, TickPlan, UavEddiRuntime};
+use crate::eddi::{EddiCacheStats, EddiOutputs, UavEddiRuntime};
 use crate::fleet::{shard_ranges, FleetSpec, ResolvedUavProfile};
 use crate::platform::database::DatabaseManager;
 use crate::platform::gcs::{GroundControlStation, StatusSnapshot, UavStatusLine};
@@ -36,19 +36,15 @@ use sesame_middleware::chaos::CommFaultPlane;
 use sesame_middleware::message::{Message, Payload};
 use sesame_obs::span::phase;
 use sesame_obs::{MetricsRegistry, MetricsSnapshot, TickSpan, TraceEvent, TraceLog};
-use sesame_safedrones::markov::{BatchSolveScratch, ProfileKey};
 use sesame_safedrones::monitor::SafeDronesConfig;
-use sesame_safedrones::{SolveKey, MARKOV_SLOTS};
 use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
 use sesame_security::eddi::SecurityEddi;
 use sesame_security::ids::{Ids, IdsConfig};
 use sesame_sinadra::risk::{SeparationInputs, SeparationRiskModel};
-use sesame_types::arena::ScratchArena;
 use sesame_types::events::{EventLog, Severity, SystemEvent};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
-use sesame_types::inline::InlineVec;
 use sesame_types::telemetry::{FlightMode, UavTelemetry};
 use sesame_types::time::{SimDuration, SimTime};
 use sesame_uav_sim::autopilot::FlightCommand;
@@ -357,21 +353,20 @@ pub struct ClLandingOutcome {
     pub at: SimTime,
 }
 
-/// One UAV's progress through this tick's split EDDI evaluation.
-// The slots live in a reused scratch vector, so the inline plan costs no
-// allocation; boxing it would allocate per UAV per tick.
+/// One UAV's progress through this tick's EDDI evaluation.
+// The slots live in a reused scratch vector, so the inline outputs cost
+// no allocation; boxing them would allocate per UAV per tick.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Default)]
 enum EddiSlot {
-    /// Not evaluated this tick: no SESAME, quarantined, a guard fault,
-    /// or a begin/solve panic that excised the UAV.
+    /// Not evaluated this tick: no SESAME, quarantined or a guard fault.
     #[default]
     Idle,
-    /// `begin_tick` ran; the finish is pending.
-    Planned(TickPlan),
-    /// `finish_tick` returned these outputs.
+    /// Passed the pre-pass: the fan-out ticks its engine.
+    Due,
+    /// `tick` returned these outputs.
     Finished(EddiOutputs),
-    /// `finish_tick` panicked with this message.
+    /// `tick` panicked with this message.
     Panicked(String),
 }
 
@@ -493,31 +488,8 @@ struct TickScratch {
     /// UAV pass: per-UAV detection events, buffered by the pre-pass and
     /// emitted at the merge.
     det_events_per_uav: Vec<Vec<SystemEvent>>,
-    /// UAV pass: each UAV's split EDDI tick, from plan to outputs.
+    /// UAV pass: each UAV's EDDI tick, from due to outputs.
     eddi: Vec<EddiSlot>,
-    /// Classify: per-UAV, per-slot solve-class membership.
-    class_of: Vec<[Option<usize>; MARKOV_SLOTS]>,
-    /// Classify: one `(representative, slot, dt)` per class.
-    classes: Vec<(usize, usize, SimDuration)>,
-    /// Classify: solve-class lookup by exact solve identity.
-    class_index: HashMap<(usize, SolveKey), usize>,
-    /// Batched solve: batch-group lookup by `(slot, ProfileKey)`.
-    group_index: HashMap<(usize, ProfileKey), usize>,
-    /// Batched solve: member classes of each batch group. Groups are
-    /// tiny (distinct current distributions within one profile), so the
-    /// member lists live inline.
-    group_members: Vec<InlineVec<usize, 8>>,
-    /// Batched solve: the `(slot, dt)` shared by each batch group.
-    group_meta: Vec<(usize, SimDuration)>,
-    /// Batched solve: per-class result — a `(start, len)` span into the
-    /// arena-leased `solved` buffer, or the panic message that excises
-    /// the class's members.
-    class_span: Vec<Result<(usize, usize), String>>,
-    /// Batched-uniformization working buffers.
-    batch: BatchSolveScratch,
-    /// Bump-style pool for the per-tick f64 buffers (`solved`,
-    /// `batch_out`) leased inside the batched solve.
-    arena: ScratchArena,
     /// Airspace pass: quarantine excision mask.
     quarantined: Vec<bool>,
     /// Airspace pass: this tick's nearest-teammate index.
@@ -716,7 +688,7 @@ impl Platform {
             .collect();
         let separation_hot = vec![false; n];
         let supervisors = (0..n).map(|_| UavSupervisor::new()).collect();
-        // The baseline fleet has no EDDIs to batch, so it runs one shard.
+        // The baseline fleet has no EDDIs to fan out, so it runs one shard.
         // Any shard count produces bit-identical outputs.
         let shard_count = if config.sesame_enabled {
             config.fleet.shard_policy().shard_count(n)
@@ -1597,24 +1569,19 @@ impl Platform {
         None
     }
 
-    /// The per-UAV tick. Five sub-phases:
+    /// The per-UAV tick. Three sub-phases:
     ///
     /// 1. **Pre-pass** (fleet order): [`Self::uav_pre_pass`], the input
-    ///    guard and the EDDI ingest ([`UavEddiRuntime::begin_tick`]),
-    ///    which fixes each UAV's Markov solve keys for this tick.
-    /// 2. **Classify**: group the fleet's `3 n` pending CTMC solves into
-    ///    classes of identical [`SolveKey`]s, in fleet order. UAVs
-    ///    sharing a profile share rate matrices, so a 500-UAV fleet
-    ///    typically needs a handful of distinct solves.
-    /// 3. **Batched solve**: one SoA uniformization pass per batch group.
-    /// 4. **Finish** (per shard, the shards in parallel):
-    ///    [`UavEddiRuntime::finish_tick`] adopts the primed
-    ///    distributions and runs SafeML / DeepKnowledge / SINADRA / the
-    ///    spoof gate — all per-UAV state.
-    /// 5. **Merge** (fleet order): buffered detection events, the output
+    ///    guard and the remaining-mission horizon; marks each UAV whose
+    ///    engine is due this tick.
+    /// 2. **Fan-out** (per shard, the shards in parallel): each due UAV's
+    ///    own [`UavEddiRuntime::tick`] — SafeDrones ingest and Markov
+    ///    advance, SafeML / DeepKnowledge / SINADRA, the spoof gate —
+    ///    all per-UAV state.
+    /// 3. **Merge** (fleet order): buffered detection events, the output
     ///    guard, spoof alerts, series samples and the altitude adaptation.
     ///
-    /// A one-shard plan runs the finish inline. Every buffer is leased
+    /// A one-shard plan runs the fan-out inline. Every buffer is leased
     /// from [`TickScratch`], so a steady-state pass allocates nothing of
     /// its own at any shard count.
     fn step_uavs(
@@ -1656,192 +1623,39 @@ impl Platform {
             // Invariant: `eddi.is_some()` was checked above.
             let eddi = rt.eddi.as_mut().expect("checked above");
             eddi.set_remaining_mission(remaining);
-            // Unwind safety: a panicking engine is quarantined and never
-            // ticked again (a release promotes a fresh probe engine).
-            match crate::shard::quiet_catch_unwind(|| eddi.begin_tick(tel)) {
-                Ok(plan) => slots[i] = EddiSlot::Planned(plan),
-                Err(payload) => self.pending_faults.push(UavFault {
-                    uav: i,
-                    id: tel.uav,
-                    at: now,
-                    phase: FaultPhase::EddiBegin,
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
+            slots[i] = EddiSlot::Due;
         }
 
-        span.enter(phase::EDDI_EVAL);
-        let mut class_of = std::mem::take(&mut scratch.class_of);
-        class_of.clear();
-        class_of.resize(n, [None; MARKOV_SLOTS]);
-        let mut classes = std::mem::take(&mut scratch.classes);
-        classes.clear();
-        let mut class_index = std::mem::take(&mut scratch.class_index);
-        class_index.clear();
-        for i in 0..n {
-            let EddiSlot::Planned(plan) = &slots[i] else {
-                continue;
-            };
-            let Some(keys) = plan.solve_keys() else {
-                continue;
-            };
-            for slot in 0..MARKOV_SLOTS {
-                let cid = *class_index
-                    .entry((slot, keys[slot].clone()))
-                    .or_insert_with(|| {
-                        classes.push((i, slot, plan.dt()));
-                        classes.len() - 1
-                    });
-                class_of[i][slot] = Some(cid);
-            }
-        }
-
-        // Group the classes by batching identity: classes whose
-        // representatives share a (slot, [`ProfileKey`]) differ only in
-        // their current distribution, so one SoA uniformization pass
-        // ([`CtmcProcess::solve_dists_batch`]) advances all of them with
-        // bit-identical results — the Poisson weights depend only on the
-        // rates and dt. Groups are solved serially: a fleet has a
-        // handful of profiles, and the vectorization lives *inside* the
-        // batch kernel, not across groups.
-        let mut group_index = std::mem::take(&mut scratch.group_index);
-        group_index.clear();
-        let mut group_members = std::mem::take(&mut scratch.group_members);
-        group_members.clear();
-        let mut group_meta = std::mem::take(&mut scratch.group_meta);
-        group_meta.clear();
-        for (cid, &(rep, slot, dt)) in classes.iter().enumerate() {
-            let key = self.uavs[rep]
-                .eddi
-                .as_ref()
-                .expect("class representative has an EDDI")
-                .safedrones()
-                .markov_process(slot)
-                .profile_key(dt.as_secs_f64());
-            let gid = *group_index.entry((slot, key)).or_insert_with(|| {
-                group_members.push(InlineVec::new());
-                group_meta.push((slot, dt));
-                group_members.len() - 1
-            });
-            group_members[gid].push(cid);
-        }
-
-        // One batched pure solve per group, results packed into the
-        // arena-leased `solved` buffer (`class_span[cid]` is each
-        // class's span). A solve that panics faults every member of
-        // *every class in its group* — the members would all have hit
-        // the same kernel assertion one by one, since they share the
-        // rate matrix and dt that drive it.
-        let mut class_span = std::mem::take(&mut scratch.class_span);
-        class_span.clear();
-        class_span.resize(classes.len(), Err(String::new()));
-        let mut solved = scratch.arena.take_f64(classes.len() * 8);
-        let mut batch_out = scratch.arena.take_f64(0);
-        {
-            let uavs = &self.uavs;
-            let process = |cid: usize| {
-                let (rep, slot, _) = classes[cid];
-                // Invariant: `classes` was built from UAVs that passed
-                // the eddi.is_some() gate this tick. If it ever breaks,
-                // the catch below faults the group's members instead of
-                // aborting the tick.
-                uavs[rep]
-                    .eddi
-                    .as_ref()
-                    .expect("class representative has an EDDI")
-                    .safedrones()
-                    .markov_process(slot)
-            };
-            for (members, &(_, dt)) in group_members.iter().zip(&group_meta) {
-                let batch = &mut scratch.batch;
-                let out = &mut batch_out;
-                let solve = crate::shard::quiet_catch_unwind(|| {
-                    // The ref list borrows the member processes, so it
-                    // lives inline: groups are as small as the member
-                    // lists that size it.
-                    let mut dists: InlineVec<&[f64], 8> = InlineVec::new();
-                    dists.extend(members.iter().map(|&cid| process(cid).distribution()));
-                    process(members[0]).solve_dists_batch(&dists, dt.as_secs_f64(), out, batch);
-                });
-                match solve {
-                    Ok(()) => {
-                        let state_len = process(members[0]).distribution().len();
-                        for (d, &cid) in members.iter().enumerate() {
-                            let start = solved.len();
-                            solved.extend_from_slice(&batch_out[d * state_len..][..state_len]);
-                            class_span[cid] = Ok((start, state_len));
-                        }
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload.as_ref());
-                        for &cid in members.iter() {
-                            class_span[cid] = Err(message.clone());
-                        }
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            let failed = (0..MARKOV_SLOTS)
-                .find_map(|slot| class_of[i][slot].and_then(|cid| class_span[cid].as_ref().err()));
-            if let Some(message) = failed {
-                slots[i] = EddiSlot::Idle; // skip the finish; the fault quarantines it
-                let message = message.clone();
-                self.pending_faults.push(UavFault {
-                    uav: i,
-                    id: telemetries[i].uav,
-                    at: now,
-                    phase: FaultPhase::EddiSolve,
-                    message,
-                });
-            }
-        }
-
-        // Finish each shard's UAVs: the shard windows are disjoint
+        // Tick each shard's due UAVs: the shard windows are disjoint
         // `&mut` views of the fleet and its slots, so no state is
-        // shared. Each UAV's finish is individually caught, so one
+        // shared. Each UAV's tick is individually caught, so one
         // panicking engine faults one UAV instead of unwinding the shard.
-        {
-            let (class_of, class_span, solved) = (&class_of, &class_span, &solved);
-            let fleet = (self.uavs.as_mut_slice(), slots.as_mut_slice());
-            crate::shard::for_each_shard(&self.shards, fleet, |start, (uavs, slots)| {
-                for (k, (rt, slot)) in uavs.iter_mut().zip(slots.iter_mut()).enumerate() {
-                    let (EddiSlot::Planned(plan), Some(eddi)) =
-                        (std::mem::take(slot), rt.eddi.as_mut())
-                    else {
-                        continue;
-                    };
-                    let i = start + k;
-                    let tel = &telemetries[i];
-                    let scene = SceneCondition {
-                        altitude_m: tel.true_position.alt_m,
-                        visibility,
-                    };
-                    let mut primes: [Option<&[f64]>; MARKOV_SLOTS] = [None; MARKOV_SLOTS];
-                    for (m, prime) in primes.iter_mut().enumerate() {
-                        // Invariant: a failed class excised its members
-                        // above, so the lookup hits Ok.
-                        if let Some(Ok(&(at, len))) =
-                            class_of[i][m].map(|cid| class_span[cid].as_ref())
-                        {
-                            *prime = Some(&solved[at..at + len]);
-                        }
+        span.enter(phase::EDDI_EVAL);
+        let fleet = (self.uavs.as_mut_slice(), slots.as_mut_slice());
+        crate::shard::for_each_shard(&self.shards, fleet, |start, (uavs, slots)| {
+            for (k, (rt, slot)) in uavs.iter_mut().zip(slots.iter_mut()).enumerate() {
+                let (EddiSlot::Due, Some(eddi)) = (&slot, rt.eddi.as_mut()) else {
+                    continue;
+                };
+                let i = start + k;
+                let tel = &telemetries[i];
+                let scene = SceneCondition {
+                    altitude_m: tel.true_position.alt_m,
+                    visibility,
+                };
+                // Unwind safety: a panicking engine is quarantined and
+                // never ticked again (a release promotes a fresh probe
+                // engine).
+                *slot = match crate::shard::quiet_catch_unwind(|| eddi.tick(tel, &scene)) {
+                    Ok(out) => {
+                        #[cfg(test)]
+                        rt.log.record_eddi(i, tel, scene, &out);
+                        EddiSlot::Finished(out)
                     }
-                    // Unwind safety: a panicking engine is quarantined
-                    // and never ticked again.
-                    *slot = match crate::shard::quiet_catch_unwind(|| {
-                        eddi.finish_tick(tel, &scene, plan, primes)
-                    }) {
-                        Ok(out) => {
-                            #[cfg(test)]
-                            rt.log.record_eddi(i, tel, scene, &out);
-                            EddiSlot::Finished(out)
-                        }
-                        Err(payload) => EddiSlot::Panicked(panic_message(payload.as_ref())),
-                    };
-                }
-            });
-        }
+                    Err(payload) => EddiSlot::Panicked(panic_message(payload.as_ref())),
+                };
+            }
+        });
 
         for i in 0..n {
             let tel = &telemetries[i];
@@ -1861,28 +1675,19 @@ impl Platform {
                     uav: i,
                     id: tel.uav,
                     at: now,
-                    phase: FaultPhase::EddiFinish,
+                    phase: FaultPhase::EddiTick,
                     message,
                 }),
-                EddiSlot::Idle | EddiSlot::Planned(_) => {}
+                EddiSlot::Idle | EddiSlot::Due => {}
             }
             // Trajectory sampling.
             if second_boundary {
                 self.trajectories[i].push((now.as_secs_f64(), tel.true_position));
             }
         }
-        // Return the leases and the scratch so next tick starts warm.
-        scratch.arena.give_f64(batch_out);
-        scratch.arena.give_f64(solved);
+        // Return the scratch so next tick starts warm.
         scratch.det_events_per_uav = det_events;
         scratch.eddi = slots;
-        scratch.class_of = class_of;
-        scratch.classes = classes;
-        scratch.class_index = class_index;
-        scratch.group_index = group_index;
-        scratch.group_members = group_members;
-        scratch.group_meta = group_meta;
-        scratch.class_span = class_span;
         self.scratch = scratch;
         span.enter(phase::SENSE_PUBLISH);
     }
@@ -2207,9 +2012,6 @@ impl Platform {
     /// back clean — no armed panic, finite inputs, a tick that neither
     /// panics nor produces non-finite outputs.
     fn step_revival_probes(&mut self, telemetries: &[UavTelemetry], now: SimTime) {
-        if !self.config.supervision.quarantine_enabled {
-            return; // retire mode: quarantined UAVs stay out for the run
-        }
         let cfg = self.config.supervision.clone();
         let visibility = self.sim.world().visibility();
         for i in 0..self.uavs.len() {
@@ -3180,8 +2982,7 @@ mod tests {
         );
     }
 
-    /// The same replay on a 12-UAV fleet split into two shards, where the
-    /// batched solve primes distributions across UAVs.
+    /// The same replay on a 12-UAV fleet split into two shards.
     #[test]
     fn two_shard_run_locksteps_with_the_reference_engines() {
         let mut cfg = quick_config();

@@ -11,11 +11,11 @@
 //!
 //! Workers are **persistent**: the first parallel call spawns a
 //! process-wide pool of daemon threads, and every later call hands its
-//! fan-out to the same threads (see [`pool`]). A 100 ms platform tick
-//! makes three fan-out calls; spawning and joining OS threads for each
-//! (the previous `std::thread::scope` design) cost more than the work
-//! being parallelized and made the sharded tick *slower* than serial on
-//! small fleets. The pool replaces the per-call spawn/join with one
+//! fan-out to the same threads (the private `pool` module). A 100 ms
+//! platform tick makes three fan-out calls; spawning and joining OS
+//! threads for each (the previous `std::thread::scope` design) cost more
+//! than the work being parallelized and made the sharded tick *slower*
+//! than serial on small fleets. The pool replaces the per-call spawn/join with one
 //! condvar wake and one completion wait.
 //!
 //! Two entry points, each in an infallible and a panic-catching flavor:

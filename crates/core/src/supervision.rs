@@ -47,7 +47,7 @@ pub enum HealthState {
     /// safe fallback behaviour — return to base.
     SafeFallback,
     /// The UAV's own compute faulted (a panic or non-finite EDDI output
-    /// was isolated): it is excised from solve-class dedup, the airspace
+    /// was isolated): it is excised from EDDI evaluation, the airspace
     /// scan and ConSert composition, commanded RTB, and only re-admitted
     /// by the containment layer's revival probe. Entered and left via
     /// [`UavSupervisor::quarantine`] / [`UavSupervisor::release`], never
@@ -100,11 +100,6 @@ pub struct SupervisionConfig {
     pub max_command_retries: u32,
     /// Base retry backoff; doubles per attempt.
     pub retry_backoff: SimDuration,
-    /// Whether isolated compute faults quarantine the UAV (the
-    /// containment layer). With this off a caught panic still cannot
-    /// abort the campaign, but the UAV is retired for the rest of the
-    /// run instead of probed for revival.
-    pub quarantine_enabled: bool,
     /// Consecutive clean revival-probe ticks required before a
     /// quarantined UAV is re-admitted to the fleet.
     pub revival_clean_ticks: u64,
@@ -130,7 +125,6 @@ impl Default for SupervisionConfig {
             heartbeat_period: SimDuration::from_secs(1),
             max_command_retries: 3,
             retry_backoff: SimDuration::from_millis(400),
-            quarantine_enabled: true,
             revival_clean_ticks: 8,
             revival_backoff_ticks: 16,
             revival_backoff_cap: 6,

@@ -32,25 +32,7 @@
 //! All solver entry points funnel into one in-place kernel that works on
 //! caller-provided [`UniformizationScratch`] buffers; with a warm scratch
 //! (and a warm solver cache) a steady-state solve performs zero heap
-//! allocations. The batched entry points ([`CtmcProcess::solve_dists_batch`])
-//! advance every distribution that shares a solve profile in a single
-//! state-major SoA pass: the Poisson weights and the truncation point
-//! depend only on `Λt`, so they are computed once for the whole batch,
-//! and the per-distribution accumulation order is exactly the scalar
-//! order — batched results are bit-identical to one-at-a-time solves.
-
-use sesame_types::inline::InlineVec;
-
-/// Inline capacity of a [`SolveKey`]: rate-matrix words (`n²`, `n ≤ 6`
-/// for every SafeDrones chain) plus distribution words plus the step —
-/// built fresh every tick by [`CtmcProcess::solve_key`], so it must not
-/// touch the heap (see DESIGN.md § "Hot-loop memory discipline").
-const SOLVE_KEY_INLINE: usize = 48;
-
-/// Inline capacity of a [`ProfileKey`]: rate-matrix words (`n² ≤ 36`)
-/// plus the step. Built per solve class every tick by the fleet
-/// scheduler, so, like [`SolveKey`], it stays off the heap.
-const PROFILE_KEY_INLINE: usize = 40;
+//! allocations.
 
 /// A continuous-time Markov chain over states `0..n`.
 ///
@@ -161,37 +143,23 @@ impl Ctmc {
         let profile = SolveProfile::build(self);
         let mut out = Vec::new();
         let mut scratch = UniformizationScratch::default();
-        self.uniformize_into(p0, 1, t, tol, &profile, &mut out, &mut scratch);
+        self.uniformize_into(p0, t, tol, &profile, &mut out, &mut scratch);
         out
     }
 
-    /// [`Ctmc::transient_with_tol`] with the rate-matrix-dependent
-    /// quantities supplied from a memoized [`SolveProfile`]. Bit-identical
-    /// to the naive solver (same sums, same operation order).
-    fn transient_cached(&self, p0: &[f64], t: f64, tol: f64, profile: &SolveProfile) -> Vec<f64> {
-        let mut out = Vec::new();
-        let mut scratch = UniformizationScratch::default();
-        self.uniformize_into(p0, 1, t, tol, profile, &mut out, &mut scratch);
-        out
-    }
-
-    /// The shared in-place uniformization kernel: advances `m` stacked
-    /// distributions (`p0s[d*n..][..n]` is distribution `d`) by `t`
-    /// seconds in one state-major SoA pass, writing the results to `out`
-    /// in the same dist-major layout. All work happens in `scratch`; with
-    /// warm buffers the kernel performs zero heap allocations.
+    /// The shared in-place uniformization kernel: advances `p0` by `t`
+    /// seconds, writing the result to `out`. All work happens in
+    /// `scratch`; with warm buffers the kernel performs zero heap
+    /// allocations.
     ///
-    /// Bit-identity: the Poisson weights and the truncation point depend
-    /// only on `Λt`, so they are shared by the whole batch, and each
-    /// distribution's accumulation sequence (diagonal term first, then
-    /// off-diagonal targets in ascending order, sources in ascending
-    /// order, weighted sum in state order) is exactly the scalar solver's
-    /// order — a batch of `m` is bit-identical to `m` scalar solves.
-    #[allow(clippy::too_many_arguments)]
+    /// Accumulation order (pinned bit for bit by the kernel tests): each
+    /// DTMC step walks the sources in ascending order, adding the
+    /// source's diagonal term first and then its off-diagonal targets in
+    /// ascending order; the Poisson-weighted sum and the renormalization
+    /// then run in state order.
     fn uniformize_into(
         &self,
-        p0s: &[f64],
-        m: usize,
+        p0: &[f64],
         t: f64,
         tol: f64,
         profile: &SolveProfile,
@@ -199,41 +167,30 @@ impl Ctmc {
         scratch: &mut UniformizationScratch,
     ) {
         let n = self.n;
-        assert_eq!(p0s.len(), n * m, "initial distribution size mismatch");
+        assert_eq!(p0.len(), n, "initial distribution size mismatch");
         assert!(t.is_finite() && t >= 0.0, "time must be ≥ 0");
-        for d in 0..m {
-            let p0 = &p0s[d * n..(d + 1) * n];
-            let sum: f64 = p0.iter().sum();
-            assert!(
-                (sum - 1.0).abs() < 1e-6 && p0.iter().all(|p| *p >= -1e-12),
-                "p0 must be a probability vector (sums to {sum})"
-            );
-        }
+        let sum: f64 = p0.iter().sum();
+        assert!(
+            (sum - 1.0).abs() < 1e-6 && p0.iter().all(|p| *p >= -1e-12),
+            "p0 must be a probability vector (sums to {sum})"
+        );
+        out.clear();
         if t == 0.0 || profile.lambda_raw == 0.0 {
             // Nothing moves (zero step, or no transitions anywhere).
-            out.clear();
-            out.extend_from_slice(p0s);
+            out.extend_from_slice(p0);
             return;
         }
         // Slight inflation improves numerical behaviour.
         let lambda = profile.lambda_raw * 1.02;
         let lt = lambda * t;
 
-        // State-major working set: v[i*m + d] is state i of distribution
-        // d, so the innermost per-distribution loops run over contiguous
-        // memory and vectorize.
-        let v = &mut scratch.v;
+        let UniformizationScratch { v, next, acc } = scratch;
         v.clear();
-        v.resize(n * m, 0.0);
-        for d in 0..m {
-            for i in 0..n {
-                v[i * m + d] = p0s[d * n + i];
-            }
-        }
-        scratch.next.clear();
-        scratch.next.resize(n * m, 0.0);
-        scratch.acc.clear();
-        scratch.acc.resize(n * m, 0.0);
+        v.extend_from_slice(p0);
+        next.clear();
+        next.resize(n, 0.0);
+        acc.clear();
+        acc.resize(n, 0.0);
 
         // Poisson weights e^{-lt} lt^k / k!, computed iteratively in log
         // space via scaling to avoid under/overflow for large lt. The
@@ -246,42 +203,25 @@ impl Ctmc {
         for k in 0..=k_max {
             if k > 0 {
                 log_w += (lt).ln() - (k as f64).ln();
-                // One DTMC step, next = v·P with P = I + Q/Λ, preserving
-                // the scalar accumulation order per distribution.
-                for x in scratch.next.iter_mut() {
-                    *x = 0.0;
-                }
+                // One DTMC step, next = v·P with P = I + Q/Λ.
+                next.fill(0.0);
                 for i in 0..n {
-                    let exit = profile.exits[i];
-                    let diag = 1.0 - exit / lambda;
-                    let row = i * m;
-                    for d in 0..m {
-                        let vi = scratch.v[row + d];
-                        if vi != 0.0 {
-                            scratch.next[row + d] += vi * diag;
-                        }
+                    let vi = v[i];
+                    if vi == 0.0 {
+                        continue;
                     }
-                    for j in 0..n {
-                        if i == j {
-                            continue;
-                        }
-                        let r = self.rates[i * n + j];
-                        if r > 0.0 {
-                            let dst = j * m;
-                            for d in 0..m {
-                                let vi = scratch.v[row + d];
-                                if vi != 0.0 {
-                                    scratch.next[dst + d] += vi * r / lambda;
-                                }
-                            }
+                    next[i] += vi * (1.0 - profile.exits[i] / lambda);
+                    for (j, &r) in self.rates[i * n..(i + 1) * n].iter().enumerate() {
+                        if i != j && r > 0.0 {
+                            next[j] += vi * r / lambda;
                         }
                     }
                 }
-                std::mem::swap(&mut scratch.v, &mut scratch.next);
+                std::mem::swap(v, next);
             }
             let w = log_w.exp();
             if w > 0.0 {
-                for (a, vi) in scratch.acc.iter_mut().zip(scratch.v.iter()) {
+                for (a, vi) in acc.iter_mut().zip(v.iter()) {
                     *a += w * vi;
                 }
                 mass += w;
@@ -290,27 +230,16 @@ impl Ctmc {
                 break;
             }
         }
-        out.clear();
-        out.resize(n * m, 0.0);
-        for d in 0..m {
-            // Renormalize the tiny truncation remainder, per distribution.
-            let mut s = 0.0;
-            for i in 0..n {
-                s += scratch.acc[i * m + d];
-            }
-            if s > 0.0 {
-                for i in 0..n {
-                    out[d * n + i] = scratch.acc[i * m + d] / s;
-                }
-            } else {
-                // The whole Poisson window sat beyond the step clamp: the
-                // weighted sum captured no mass. Return the power iterate
-                // at the clamp — the t → ∞ limit for chains that have
-                // converged by then (see the module docs).
-                for i in 0..n {
-                    out[d * n + i] = scratch.v[i * m + d];
-                }
-            }
+        // Renormalize the tiny truncation remainder.
+        let s: f64 = acc.iter().sum();
+        if s > 0.0 {
+            out.extend(acc.iter().map(|a| a / s));
+        } else {
+            // The whole Poisson window sat beyond the step clamp: the
+            // weighted sum captured no mass. Return the power iterate at
+            // the clamp — the t → ∞ limit for chains that have converged
+            // by then (see the module docs).
+            out.extend_from_slice(v);
         }
     }
 }
@@ -331,60 +260,6 @@ pub struct UniformizationScratch {
     v: Vec<f64>,
     next: Vec<f64>,
     acc: Vec<f64>,
-}
-
-/// Working buffers for [`CtmcProcess::solve_dists_batch`]: the stacked
-/// input distributions plus the kernel scratch. Reuse across ticks for
-/// allocation-free batched solves.
-#[derive(Debug, Clone, Default)]
-pub struct BatchSolveScratch {
-    stacked: Vec<f64>,
-    uniform: UniformizationScratch,
-    /// The profile of a representative whose cache is stale (its rates
-    /// moved since its last advance), rebuilt here in place.
-    profile: SolveProfile,
-}
-
-/// A value-identity key for one transient solve: the exact bit patterns
-/// of the rate matrix, the current distribution, and the time step. Two
-/// processes with equal keys would compute bit-identical solves, so a
-/// fleet-level scheduler can solve one representative and prime the rest
-/// (see [`CtmcProcess::advance_primed`]). The key is pure data — hashable,
-/// comparable, and decoupled from the process it was derived from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SolveKey(InlineVec<u64, SOLVE_KEY_INLINE>);
-
-impl SolveKey {
-    /// Number of packed words (rates + distribution + dt).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the key is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// The batching identity of one transient solve: the exact bit patterns
-/// of the rate matrix and the time step — everything a [`SolveProfile`]
-/// and the shared Poisson weights depend on, but *not* the distribution.
-/// Processes sharing a profile key can be advanced together in one SoA
-/// pass ([`CtmcProcess::solve_dists_batch`]) with bit-identical results,
-/// even when their distributions differ.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProfileKey(InlineVec<u64, PROFILE_KEY_INLINE>);
-
-impl ProfileKey {
-    /// Number of packed words (rates + dt).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the key is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
 }
 
 /// Hit/miss counters of a process-level solver cache.
@@ -533,7 +408,6 @@ impl CtmcProcess {
         // allocations. Bit-identical to the allocating path (same kernel).
         self.chain.uniformize_into(
             &self.dist,
-            1,
             dt_secs,
             1e-12,
             profile,
@@ -558,119 +432,6 @@ impl CtmcProcess {
                 self.stats.misses += 1;
             }
         }
-    }
-
-    /// The solve identity of the *next* [`CtmcProcess::advance`] call with
-    /// step `dt_secs`: rate-matrix bits, distribution bits, and the step's
-    /// bits. Processes sharing a key compute bit-identical solves.
-    pub fn solve_key(&self, dt_secs: f64) -> SolveKey {
-        let mut bits: InlineVec<u64, SOLVE_KEY_INLINE> = InlineVec::new();
-        bits.extend(self.chain.rates.iter().map(|r| r.to_bits()));
-        bits.extend(self.dist.iter().map(|p| p.to_bits()));
-        bits.push(dt_secs.to_bits());
-        SolveKey(bits)
-    }
-
-    /// The batching identity of the *next* advance with step `dt_secs`:
-    /// rate-matrix bits plus the step's bits, *without* the distribution.
-    /// Processes sharing a profile key share the solve profile and the
-    /// Poisson weights, so they can be advanced together with
-    /// [`CtmcProcess::solve_dists_batch`].
-    pub fn profile_key(&self, dt_secs: f64) -> ProfileKey {
-        let mut bits: InlineVec<u64, PROFILE_KEY_INLINE> = InlineVec::new();
-        bits.extend(self.chain.rates.iter().map(|r| r.to_bits()));
-        bits.push(dt_secs.to_bits());
-        ProfileKey(bits)
-    }
-
-    /// Solves `dists` — distributions over *this process's chain*, e.g.
-    /// the beliefs of other UAVs whose [`CtmcProcess::profile_key`] equals
-    /// this one's — for one shared step in a single SoA uniformization
-    /// pass. Results land in `out`, dist-major (`out[d*n..][..n]` is the
-    /// advanced `dists[d]`), and are bit-identical to calling
-    /// [`CtmcProcess::solve_dist`] once per distribution. Does not mutate
-    /// the process; with warm buffers the pass allocates nothing, even when
-    /// this process's cached profile is stale (the profile is then rebuilt
-    /// in `scratch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any distribution has the wrong length or is not a
-    /// probability vector.
-    pub fn solve_dists_batch(
-        &self,
-        dists: &[&[f64]],
-        dt_secs: f64,
-        out: &mut Vec<f64>,
-        scratch: &mut BatchSolveScratch,
-    ) {
-        let n = self.chain.len();
-        scratch.stacked.clear();
-        for d in dists {
-            assert_eq!(d.len(), n, "batched distribution size mismatch");
-            scratch.stacked.extend_from_slice(d);
-        }
-        let profile = match &self.cache {
-            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => profile,
-            _ => {
-                scratch.profile.rebuild(&self.chain);
-                &scratch.profile
-            }
-        };
-        self.chain.uniformize_into(
-            &scratch.stacked,
-            dists.len(),
-            dt_secs,
-            1e-12,
-            profile,
-            out,
-            &mut scratch.uniform,
-        );
-    }
-
-    /// Computes the distribution [`CtmcProcess::advance`] would assign for
-    /// step `dt_secs` — without mutating the process or its cache
-    /// counters. Bit-identical to the mutating path (cached and naive
-    /// solvers agree bit for bit, see the module invariant), so the result
-    /// can prime any process with an equal [`CtmcProcess::solve_key`].
-    pub fn solve_dist(&self, dt_secs: f64) -> Vec<f64> {
-        match &self.cache {
-            Some(profile) if self.cache_enabled && profile.matches(&self.chain) => self
-                .chain
-                .transient_cached(&self.dist, dt_secs, 1e-12, profile),
-            _ if self.cache_enabled => {
-                let profile = SolveProfile::build(&self.chain);
-                self.chain
-                    .transient_cached(&self.dist, dt_secs, 1e-12, &profile)
-            }
-            _ => self.chain.transient(&self.dist, dt_secs),
-        }
-    }
-
-    /// [`CtmcProcess::advance`] with an optional precomputed distribution.
-    ///
-    /// With `primed: None` this is exactly `advance(dt_secs)`. With
-    /// `Some(dist)` the solve is skipped and `dist` adopted — but the
-    /// cache/stats bookkeeping still runs exactly as `advance` would, so a
-    /// primed process is bit-indistinguishable (belief *and* counters)
-    /// from one that solved locally. The caller guarantees `dist` is the
-    /// solve result for this process's current [`CtmcProcess::solve_key`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a primed distribution has the wrong length.
-    pub fn advance_primed(&mut self, dt_secs: f64, primed: Option<&[f64]>) {
-        let Some(dist) = primed else {
-            self.advance(dt_secs);
-            return;
-        };
-        assert_eq!(dist.len(), self.dist.len(), "primed distribution size");
-        if self.cache_enabled {
-            self.refresh_profile();
-        }
-        // Copy in place; adopting a primed distribution allocates nothing.
-        self.dist.clear();
-        self.dist.extend_from_slice(dist);
     }
 
     /// Probability mass currently in the given states (e.g. the absorbing
@@ -747,61 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_solve_is_bit_identical_to_scalar_solves() {
-        let mut c = Ctmc::new(4);
-        c.set_rate(0, 1, 0.3);
-        c.set_rate(0, 2, 0.05);
-        c.set_rate(1, 0, 0.4);
-        c.set_rate(1, 3, 0.2);
-        c.set_rate(2, 3, 0.6);
-        let mut rep = CtmcProcess::new(c, 0);
-        rep.enable_solver_cache();
-        rep.advance(1.0); // warm the cache
-
-        // Distinct distributions sharing the chain and the step.
-        let dists: Vec<Vec<f64>> = vec![
-            vec![1.0, 0.0, 0.0, 0.0],
-            vec![0.25, 0.25, 0.25, 0.25],
-            vec![0.0, 0.7, 0.3, 0.0],
-            rep.distribution().to_vec(),
-        ];
-        let refs: Vec<&[f64]> = dists.iter().map(|d| d.as_slice()).collect();
-        let mut out = Vec::new();
-        let mut scratch = BatchSolveScratch::default();
-        rep.solve_dists_batch(&refs, 2.5, &mut out, &mut scratch);
-
-        for (d, dist) in dists.iter().enumerate() {
-            let mut one = CtmcProcess::new(rep.chain().clone(), 0);
-            one.enable_solver_cache();
-            let scalar = {
-                // Adopt the batched input as the live belief, then solve.
-                one.observe_state(0);
-                one.advance_primed(0.0, Some(dist));
-                one.solve_dist(2.5)
-            };
-            let batched = &out[d * 4..(d + 1) * 4];
-            for i in 0..4 {
-                assert_eq!(
-                    scalar[i].to_bits(),
-                    batched[i].to_bits(),
-                    "dist {d} state {i}: batched must be bit-identical"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn profile_key_ignores_the_distribution() {
-        let mut a = CtmcProcess::new(two_state(0.1), 0);
-        let b = CtmcProcess::new(two_state(0.1), 1);
-        assert_ne!(a.solve_key(1.0), b.solve_key(1.0), "beliefs differ");
-        assert_eq!(a.profile_key(1.0), b.profile_key(1.0), "same chain + dt");
-        assert_ne!(a.profile_key(1.0), a.profile_key(2.0), "dt matters");
-        a.chain_mut().set_rate(0, 1, 0.2);
-        assert_ne!(a.profile_key(1.0), b.profile_key(1.0), "rates matter");
-    }
-
-    #[test]
     fn steady_state_advance_allocates_nothing_after_warmup() {
         // Indirect check: the scratch high-water marks stop growing after
         // the first cached solve (the allocation-regression test in
@@ -829,6 +535,150 @@ mod tests {
             "warm buffers must not regrow"
         );
         assert_eq!(p.solver_cache_stats().misses, 1);
+    }
+
+    /// The SafeDrones chains plus a four-state repairable chain whose
+    /// targets collect three or more terms per step (so a reordered
+    /// accumulation changes the rounding), each with its initial
+    /// distribution.
+    fn kernel_cases() -> Vec<(&'static str, Ctmc, Vec<f64>)> {
+        use crate::battery::{BatteryModel, BatteryParams};
+        use crate::comms::CommsModel;
+        use crate::propulsion::{MotorLayout, PropulsionModel};
+        let quad = PropulsionModel::new(MotorLayout::Quad, 1e-6);
+        let hexa = PropulsionModel::new(MotorLayout::Hexa, 1e-6);
+        let mut cool = BatteryModel::new(BatteryParams::default());
+        cool.update_telemetry(20.0, 0.9, 0.0);
+        let mut hot = BatteryModel::new(BatteryParams::default());
+        hot.update_telemetry(60.0, 0.15, 0.0);
+        let mut comms = CommsModel::new(1e-5, 0.05);
+        comms.update_link_quality(0.5);
+        let mut repair = Ctmc::new(4);
+        for (from, to, rate) in [
+            (0, 1, 0.3),
+            (0, 2, 0.05),
+            (1, 0, 0.4),
+            (1, 2, 0.7),
+            (2, 1, 0.2),
+            (2, 3, 0.01),
+            (3, 0, 0.02),
+        ] {
+            repair.set_rate(from, to, rate);
+        }
+        vec![
+            ("quad", quad.process.chain().clone(), vec![1.0, 0.0]),
+            ("hexa", hexa.process.chain().clone(), vec![0.5, 0.5, 0.0]),
+            (
+                "battery_cool",
+                cool.process.chain().clone(),
+                vec![1.0, 0.0, 0.0, 0.0],
+            ),
+            ("battery_hot", hot.process.chain().clone(), vec![0.25; 4]),
+            ("comms", comms.process.chain().clone(), vec![1.0, 0.0]),
+            ("repair", repair, vec![0.1, 0.2, 0.3, 0.4]),
+        ]
+    }
+
+    /// Exact output bits of the uniformization kernel, pinned so that any
+    /// rewrite of it (which every oracle and lockstep shares) must keep the
+    /// accumulation order: the diagonal and off-diagonal terms of each DTMC
+    /// step in ascending source order, then the weighted sum and the
+    /// renormalization in state order. The last row is a `Λt` of ~10⁷,
+    /// past [`MAX_UNIFORMIZATION_STEPS`]: the clamped power iterate.
+    #[test]
+    fn transient_output_bits_are_pinned() {
+        const PINNED: &[(&str, f64, &[u64])] = &[
+            ("quad", 0.1, &[0x3fefffff294070e8, 0x3e9ad7f1e2fd81a5]),
+            ("quad", 600.0, &[0x3fefec5cdec36244, 0x3f63a3213c9dbba7]),
+            (
+                "hexa",
+                0.1,
+                &[0x3fdffffebde0b0e5, 0x3fdfffffaf782c39, 0x3e992a722e12ddb5],
+            ),
+            (
+                "hexa",
+                600.0,
+                &[0x3fdfe28fd378284f, 0x3fdff897402b4e9b, 0x3f626c762e4489f9],
+            ),
+            (
+                "battery_cool",
+                0.1,
+                &[
+                    0x3fefffffab400fde,
+                    0x3e852ffb27e19ca3,
+                    0x3d3c0e7a4edae660,
+                    0x0000000000000000,
+                ],
+            ),
+            (
+                "battery_cool",
+                600.0,
+                &[
+                    0x3feff83fce1d7ba2,
+                    0x3f4ee2c67322e503,
+                    0x3ecda0ebfdf33b6d,
+                    0x3e680abc286f31d2,
+                ],
+            ),
+            (
+                "battery_hot",
+                0.1,
+                &[
+                    0x3fcfffe9bcd3a0bf,
+                    0x3fcfff60d057a255,
+                    0x3fcffd2a540c5740,
+                    0x3fd001c58f6432d6,
+                ],
+            ),
+            (
+                "battery_hot",
+                600.0,
+                &[
+                    0x3fce04eeb722d0e9,
+                    0x3fc4950606398128,
+                    0x3fab0b6f53b7982c,
+                    0x3fe1a8cbdb6d71fa,
+                ],
+            ),
+            ("comms", 0.1, &[0x3feffff79f33e800, 0x3ed0c1982fff6e21]),
+            ("comms", 600.0, &[0x3feff2e9eafdaefa, 0x3f5a2c2a04a20af2]),
+            (
+                "repair",
+                0.1,
+                &[
+                    0x3fbadecae4ba1c39,
+                    0x3fc80b184c04a46e,
+                    0x3fd3b1461cdffe0f,
+                    0x3fd9917b03ef28ab,
+                ],
+            ),
+            (
+                "repair",
+                600.0,
+                &[
+                    0x3fc4be933e092f49,
+                    0x3fc0a421b6fe4ba8,
+                    0x3fde346e491b45e7,
+                    0x3fce346e78c1f93e,
+                ],
+            ),
+            (
+                "repair",
+                1e7,
+                &[
+                    0x3fc4be93433f99ee,
+                    0x3fc0a421bcfac1ce,
+                    0x3fde346e5541e184,
+                    0x3fce346e5541e19b,
+                ],
+            ),
+        ];
+        let cases = kernel_cases();
+        for &(name, t, want) in PINNED {
+            let (_, chain, p0) = cases.iter().find(|c| c.0 == name).expect("known case");
+            let got: Vec<u64> = chain.transient(p0, t).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{name} at t = {t}");
+        }
     }
 
     #[test]
@@ -963,69 +813,5 @@ mod tests {
         assert_eq!(stats.misses, 2, "initial build + one rate-swap rebuild");
         assert_eq!(stats.hits as usize, dts.len() - 2);
         assert_eq!(naive.solver_cache_stats(), SolverCacheStats::default());
-    }
-
-    /// Equal solve keys mean equal (rates, dist, dt); any difference in
-    /// one of the three changes the key.
-    #[test]
-    fn solve_key_tracks_rates_dist_and_dt() {
-        let mut a = CtmcProcess::new(two_state(0.1), 0);
-        let b = CtmcProcess::new(two_state(0.1), 0);
-        assert_eq!(a.solve_key(1.0), b.solve_key(1.0));
-        assert_ne!(a.solve_key(1.0), b.solve_key(2.0), "dt differs");
-        a.advance(1.0);
-        assert_ne!(a.solve_key(1.0), b.solve_key(1.0), "dist differs");
-        let mut c = CtmcProcess::new(two_state(0.2), 0);
-        assert_ne!(c.solve_key(1.0), b.solve_key(1.0), "rates differ");
-        assert!(!c.solve_key(1.0).is_empty());
-        assert_eq!(c.solve_key(1.0).len(), 4 + 2 + 1);
-        c.chain_mut().set_rate(0, 1, 0.1);
-        assert_eq!(c.solve_key(1.0), b.solve_key(1.0));
-    }
-
-    /// Priming one process with another's `solve_dist` leaves both
-    /// bit-identical in belief *and* cache counters, across rate swaps.
-    #[test]
-    fn primed_advance_is_bit_identical_including_stats() {
-        let mut chain = Ctmc::new(3);
-        chain.set_rate(0, 1, 0.4);
-        chain.set_rate(1, 2, 0.9);
-        let mut solver = CtmcProcess::new(chain.clone(), 0);
-        let mut primed = CtmcProcess::new(chain, 0);
-        solver.enable_solver_cache();
-        primed.enable_solver_cache();
-
-        for k in 0..6 {
-            let dt = 0.5 + k as f64 * 0.25;
-            if k == 3 {
-                solver.chain_mut().set_rate(0, 1, 0.7);
-                primed.chain_mut().set_rate(0, 1, 0.7);
-            }
-            assert_eq!(solver.solve_key(dt), primed.solve_key(dt));
-            let dist = solver.solve_dist(dt);
-            solver.advance(dt);
-            assert_eq!(
-                solver.distribution(),
-                dist.as_slice(),
-                "solve_dist must equal what advance computes"
-            );
-            primed.advance_primed(dt, Some(&dist));
-            let bits = |p: &CtmcProcess| -> Vec<u64> {
-                p.distribution().iter().map(|x| x.to_bits()).collect()
-            };
-            assert_eq!(bits(&solver), bits(&primed), "diverged at step {k}");
-        }
-        assert_eq!(solver.solver_cache_stats(), primed.solver_cache_stats());
-        assert_eq!(solver.solver_cache_stats().misses, 2);
-    }
-
-    /// `advance_primed(_, None)` is exactly `advance`.
-    #[test]
-    fn unprimed_advance_primed_delegates() {
-        let mut a = CtmcProcess::new(two_state(0.3), 0);
-        let mut b = CtmcProcess::new(two_state(0.3), 0);
-        a.advance(2.0);
-        b.advance_primed(2.0, None);
-        assert_eq!(a.distribution(), b.distribution());
     }
 }

@@ -10,7 +10,7 @@
 use crate::battery::{BatteryModel, BatteryParams};
 use crate::comms::CommsModel;
 use crate::fta::{BasicEventId, FaultTree, Node};
-use crate::markov::{CtmcProcess, ProfileKey, SolveKey, SolverCacheStats};
+use crate::markov::SolverCacheStats;
 use crate::processor::ProcessorModel;
 use crate::propulsion::{MotorLayout, PropulsionModel};
 use crate::ReliabilityLevel;
@@ -94,12 +94,6 @@ pub struct ReliabilityEstimate {
     /// Comms-down probability.
     pub pof_comms: f64,
 }
-
-/// Number of CTMC-backed subsystems a monitor advances per tick —
-/// propulsion, battery, comms — i.e. the width of
-/// [`SafeDronesMonitor::solve_keys`] and the prime array of
-/// [`SafeDronesMonitor::advance_primed`].
-pub const MARKOV_SLOTS: usize = 3;
 
 /// The per-UAV SafeDrones monitor. See the crate docs for an example.
 #[derive(Debug, Clone)]
@@ -247,86 +241,6 @@ impl SafeDronesMonitor {
         self.comms.enable_solver_cache();
     }
 
-    /// The solve identities of the next [`SafeDronesMonitor::advance`]
-    /// with step `dt` — one key per CTMC-backed subsystem, in the order
-    /// `[propulsion, battery, comms]` (matching
-    /// [`SafeDronesMonitor::advance_primed`]'s prime slots; the processor
-    /// model is closed-form and has no solve to share). Monitors whose
-    /// keys agree on a slot would compute bit-identical solves there, so a
-    /// fleet scheduler can solve each distinct key once and prime the
-    /// rest.
-    pub fn solve_keys(&self, dt: SimDuration) -> [SolveKey; MARKOV_SLOTS] {
-        let s = dt.as_secs_f64();
-        [
-            self.propulsion.solve_key(s),
-            self.battery.solve_key(s),
-            self.comms.solve_key(s),
-        ]
-    }
-
-    /// The distribution the given Markov slot (indexed as in
-    /// [`SafeDronesMonitor::solve_keys`]) would adopt on the next
-    /// [`SafeDronesMonitor::advance`] with step `dt`. Pure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= MARKOV_SLOTS`.
-    pub fn solve_dist(&self, slot: usize, dt: SimDuration) -> Vec<f64> {
-        let s = dt.as_secs_f64();
-        match slot {
-            0 => self.propulsion.solve_dist(s),
-            1 => self.battery.solve_dist(s),
-            2 => self.comms.solve_dist(s),
-            _ => panic!("markov slot {slot} out of range"),
-        }
-    }
-
-    /// The batching identities of the next advance with step `dt` — one
-    /// [`ProfileKey`] per CTMC-backed subsystem, slot order as in
-    /// [`SafeDronesMonitor::solve_keys`]. Unlike solve keys, profile keys
-    /// ignore the live belief: monitors sharing a slot's profile key can
-    /// have that slot advanced together in one SoA pass via
-    /// [`CtmcProcess::solve_dists_batch`] on any member's
-    /// [`SafeDronesMonitor::markov_process`], with bit-identical results.
-    pub fn profile_keys(&self, dt: SimDuration) -> [ProfileKey; MARKOV_SLOTS] {
-        let s = dt.as_secs_f64();
-        [
-            self.propulsion.process().profile_key(s),
-            self.battery.process().profile_key(s),
-            self.comms.process().profile_key(s),
-        ]
-    }
-
-    /// Read-only access to the CTMC process behind the given Markov slot
-    /// (indexed as in [`SafeDronesMonitor::solve_keys`]): the live belief
-    /// for gathering batch inputs, and the batched solver entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= MARKOV_SLOTS`.
-    pub fn markov_process(&self, slot: usize) -> &CtmcProcess {
-        match slot {
-            0 => self.propulsion.process(),
-            1 => self.battery.process(),
-            2 => self.comms.process(),
-            _ => panic!("markov slot {slot} out of range"),
-        }
-    }
-
-    /// [`SafeDronesMonitor::advance`] with optional precomputed
-    /// distributions per Markov slot (indexed as in
-    /// [`SafeDronesMonitor::solve_keys`]). `[None, None, None]` is exactly
-    /// `advance(dt)`; a primed slot skips its transient solve but keeps
-    /// belief and cache counters bit-identical to the solving path.
-    pub fn advance_primed(&mut self, dt: SimDuration, primes: [Option<&[f64]>; MARKOV_SLOTS]) {
-        let s = dt.as_secs_f64();
-        self.propulsion.advance_primed(s, primes[0]);
-        self.battery.advance_primed(s, primes[1]);
-        self.processor.advance(s);
-        self.comms.advance_primed(s, primes[2]);
-        self.now += dt;
-    }
-
     /// Aggregated solver-cache counters across all subsystem models.
     pub fn solver_cache_stats(&self) -> SolverCacheStats {
         let parts = [
@@ -468,46 +382,6 @@ mod tests {
         mon.set_remaining_mission(SimDuration::from_secs(5000));
         let long = mon.estimate().pof_energy;
         assert!(long > short);
-    }
-
-    /// Two monitors fed identical telemetry share all three solve keys;
-    /// solving once on one and priming the other keeps the estimates and
-    /// the cache counters bit-identical through a fault transient.
-    #[test]
-    fn primed_monitor_tracks_solving_monitor_bit_for_bit() {
-        let mut cfg = SafeDronesConfig::default();
-        cfg.battery.activation_energy_ev = 1.0;
-        let mut solver = SafeDronesMonitor::new(cfg.clone());
-        let mut primed = SafeDronesMonitor::new(cfg);
-        solver.enable_solver_cache();
-        primed.enable_solver_cache();
-        let dt = SimDuration::from_secs(1);
-        for t in 0..40u64 {
-            // Hot pack halfway through: rates change, keys still agree.
-            let (soc, temp) = if t < 20 { (0.9, 25.0) } else { (0.4, 60.0) };
-            solver.ingest(&telemetry(t, soc, temp));
-            primed.ingest(&telemetry(t, soc, temp));
-            let keys_a = solver.solve_keys(dt);
-            let keys_b = primed.solve_keys(dt);
-            assert_eq!(keys_a, keys_b, "identical monitors share keys");
-            let dists: Vec<Vec<f64>> = (0..MARKOV_SLOTS)
-                .map(|s| solver.solve_dist(s, dt))
-                .collect();
-            solver.advance(dt);
-            primed.advance_primed(
-                dt,
-                [
-                    Some(&dists[0][..]),
-                    Some(&dists[1][..]),
-                    Some(&dists[2][..]),
-                ],
-            );
-            let a = solver.estimate();
-            let b = primed.estimate();
-            assert_eq!(a.pof.to_bits(), b.pof.to_bits(), "diverged at t={t}");
-            assert_eq!(a.level, b.level);
-        }
-        assert_eq!(solver.solver_cache_stats(), primed.solver_cache_stats());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `InlineVec<T, N>`: a std-only small-vector with inline storage.
 //!
 //! The tick pipeline's hottest collections — bus route tables, attack-tree
-//! child lists, solve-class member lists, detection-event buffers — are
+//! child lists, SINADRA factor storage, detection-event buffers — are
 //! almost always tiny (a handful of entries) but were stored in `Vec`s,
 //! which heap-allocate on first push and again on growth. `InlineVec`
 //! keeps up to `N` elements in a fixed inline array and only *spills* to a

@@ -22,7 +22,6 @@
 //! assert!((60_000.0..70_000.0).contains(&d));
 //! ```
 
-pub mod arena;
 pub mod events;
 pub mod geo;
 pub mod ids;
@@ -49,7 +48,6 @@ macro_rules! assert_send_sync {
     };
 }
 
-pub use arena::ScratchArena;
 pub use events::{EventLog, Severity, SystemEvent, TimedEvent};
 pub use geo::{Enu, GeoPoint, Vec3};
 pub use ids::{MissionId, TaskId, TopicName, UavId};
@@ -59,7 +57,6 @@ pub use time::{SimClock, SimDuration, SimTime};
 
 // The vocabulary types cross worker threads in parallel sweeps.
 assert_send_sync!(
-    ScratchArena,
     InlineVec<u64, 4>,
     EventLog,
     TimedEvent,

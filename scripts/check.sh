@@ -19,6 +19,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+echo "==> rustdoc: intra-doc links must resolve (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib \
+    --exclude rand --exclude proptest --exclude criterion --exclude bytes
+
 echo "==> chaos smoke: 10 seeded random-fault scenario runs at --jobs 4 must stay panic-free"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -83,4 +87,4 @@ SESAME_FUZZ_CASES=2048 cargo test -q -p sesame-scenario-dsl --test fuzz
 echo "==> bench gate: fresh numbers vs committed baselines (>20% regression fails)"
 scripts/bench_gate.sh
 
-echo "OK: build, tests, clippy, fmt, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the perfbench tests and fleet_500 digest smoke, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"
+echo "OK: build, tests, clippy, fmt, rustdoc, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the perfbench tests and fleet_500 digest smoke, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"

@@ -219,10 +219,10 @@ fn toggling_evidence_defeats_the_cache_but_not_correctness() {
     assert_eq!(inc.stats().misses, 24);
 }
 
-/// The arena-build gate: a slow battery drain walks the reliability tier
+/// The zero-alloc gate: a slow battery drain walks the reliability tier
 /// ladder (high → medium → low), which stresses exactly the machinery the
 /// zero-alloc work rewrote — the in-place CTMC rate rewrite on every
-/// telemetry tick, the inline `SolveKey` cache lookups, and the compiled
+/// telemetry tick, the solver-profile cache check, and the compiled
 /// ConSert evaluator's miss path (each tier flip changes the evidence
 /// fingerprint and forces a fresh decide). Every tick must stay bit-
 /// identical to the naive reference, and the decision must match the

@@ -273,10 +273,9 @@ fn watchdog_demotion_expires_and_restores_the_plan() {
     assert_runs_bit_identical(&serial, &sharded, "watchdog demotion, 8 UAVs");
 }
 
-/// The arena-build gate at fleet scale: a 96-UAV run pushes the inline
-/// small-vector collections (solve-class member lists, route tables,
-/// detection buffers) past their spill boundaries and keeps every
-/// solve-class batch full, so any divergence between the inline/spilled
+/// The zero-alloc gate at fleet scale: a 96-UAV run pushes the inline
+/// small-vector collections (route tables, detection buffers) past their
+/// spill boundaries, so any divergence between the inline/spilled
 /// representations or the in-place CTMC rate rewrites would surface as a
 /// bit difference against the serial oracle.
 #[test]
