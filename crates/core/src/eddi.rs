@@ -150,9 +150,11 @@ impl UavEddiRuntime {
         }
         let reliability = self.safedrones.estimate();
 
-        // Perception monitors share one frame. `assessment()` computes the
-        // dissimilarity once over presorted reference columns and derives
-        // the verdict from it — bit-identical to the naive accessor pair.
+        // Perception monitors share one frame. The push keeps each window
+        // column sorted with every value's reference ECDF found once by
+        // binary search; `assessment()` then takes each column's KS
+        // statistic in one walk (no sort, no merge) and derives the
+        // verdict from it — bit-identical to the naive accessor pair.
         self.features.extract_into(scene, &mut self.frame);
         // Invariant: the monitor was constructed over this extractor's
         // reference set, so widths agree by construction. A violation

@@ -41,7 +41,7 @@ use sesame_sar::accuracy::{AltitudeDecision, AltitudePolicy};
 use sesame_security::catalog as attack_catalog;
 use sesame_security::eddi::SecurityEddi;
 use sesame_security::ids::{Ids, IdsConfig};
-use sesame_sinadra::risk::{SeparationInputs, SeparationRiskModel};
+use sesame_sinadra::risk::{SeparationAssessment, SeparationInputs, SeparationRiskModel};
 use sesame_types::events::{EventLog, Severity, SystemEvent};
 use sesame_types::geo::GeoPoint;
 use sesame_types::ids::UavId;
@@ -537,7 +537,8 @@ pub struct Platform {
     attack_detected_at: Option<SimTime>,
     current_scan_alt: f64,
     geofences: Vec<GeofenceMonitor>,
-    separation: SeparationRiskModel,
+    /// [`separation_table`] of the SINADRA separation model.
+    separation: [SeparationAssessment; 4],
     separation_hot: Vec<bool>,
     metrics: MetricsRegistry,
     trace: TraceLog,
@@ -739,7 +740,7 @@ impl Platform {
             attack_detected_at: None,
             current_scan_alt,
             geofences,
-            separation: SeparationRiskModel::new(),
+            separation: separation_table(&SeparationRiskModel::new()),
             separation_hot,
             metrics: MetricsRegistry::new(),
             trace: TraceLog::default(),
@@ -1763,11 +1764,7 @@ impl Platform {
         converging: bool,
         now: SimTime,
     ) {
-        let assessment = self.separation.assess(&SeparationInputs {
-            nearest_range_m: nearest,
-            converging,
-            detection_confidence: 0.9,
-        });
+        let assessment = self.separation[separation_cell(nearest, converging)];
         if assessment.hold_advised && !self.separation_hot[i] {
             self.separation_hot[i] = true;
             self.events.push(
@@ -2515,6 +2512,29 @@ fn handle_of(uavs: &[UavRt], i: usize) -> UavHandle {
     uavs[i].handle
 }
 
+/// Confidence of the nearby-drone detection fed to the separation model.
+const SEPARATION_DETECTION_CONFIDENCE: f64 = 0.9;
+
+/// The separation model's answer for each of the only inputs the tick
+/// gives it — `(near, converging)` at [`SEPARATION_DETECTION_CONFIDENCE`]
+/// — indexed by [`separation_cell`]. The model reads the range only as
+/// `range < 50 m`, so one query per cell answers every range.
+fn separation_table(model: &SeparationRiskModel) -> [SeparationAssessment; 4] {
+    std::array::from_fn(|cell| {
+        model.assess(&SeparationInputs {
+            nearest_range_m: if cell >= 2 { 0.0 } else { f64::INFINITY },
+            converging: cell % 2 == 1,
+            detection_confidence: SEPARATION_DETECTION_CONFIDENCE,
+        })
+    })
+}
+
+/// The [`separation_table`] cell for a nearest-teammate geometry; a NaN
+/// range is "far", as the model treats it.
+fn separation_cell(nearest_range_m: f64, converging: bool) -> usize {
+    usize::from(nearest_range_m < 50.0) * 2 + usize::from(converging)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3025,6 +3045,28 @@ mod tests {
         }
         assert!(p.metrics().counter("supervision.to_safe_fallback") >= 1);
         assert_lockstep_with_reference(&p, "link blackout, seed 7");
+    }
+
+    #[test]
+    fn separation_table_matches_the_model_at_every_range() {
+        let model = SeparationRiskModel::new();
+        let table = separation_table(&model);
+        for range in [0.0, 49.999, 50.0, 1e6, f64::NAN] {
+            for converging in [false, true] {
+                let direct = model.assess(&SeparationInputs {
+                    nearest_range_m: range,
+                    converging,
+                    detection_confidence: SEPARATION_DETECTION_CONFIDENCE,
+                });
+                let cell = table[separation_cell(range, converging)];
+                assert_eq!(
+                    cell.conflict_prob.to_bits(),
+                    direct.conflict_prob.to_bits(),
+                    "range {range}, converging {converging}"
+                );
+                assert_eq!(cell.hold_advised, direct.hold_advised);
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,11 @@ impl std::fmt::Display for DistanceMeasure {
     }
 }
 
+/// The order every measure sorts its (finite) samples by.
+pub(crate) fn finite_cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("finite values compare")
+}
+
 fn sorted_copy(name: &str, xs: &[f64]) -> Vec<f64> {
     assert!(!xs.is_empty(), "{name} sample is empty");
     assert!(
@@ -78,7 +83,7 @@ fn sorted_copy(name: &str, xs: &[f64]) -> Vec<f64> {
         "{name} sample contains non-finite values"
     );
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+    v.sort_by(finite_cmp);
     v
 }
 
@@ -128,85 +133,6 @@ pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
         .into_iter()
         .map(|(_, d, _)| d.abs())
         .fold(0.0, f64::max)
-}
-
-/// [`kolmogorov_smirnov`] with the first sample supplied already sorted
-/// (ascending) and validated. The monitor's fast path sorts each reference
-/// column once instead of on every tick; since sorting the same finite
-/// data always yields the same array, the result is bit-identical to the
-/// naive function.
-///
-/// # Panics
-///
-/// Panics if `a_sorted` is empty or (in debug builds) not sorted, or if
-/// `b` is empty / non-finite.
-pub fn kolmogorov_smirnov_presorted(a_sorted: &[f64], b: &[f64]) -> f64 {
-    assert!(!a_sorted.is_empty(), "first sample is empty");
-    debug_assert!(
-        a_sorted.windows(2).all(|w| w[0] <= w[1]),
-        "first sample must be pre-sorted"
-    );
-    let b = sorted_copy("second", b);
-    ecdf_diff_walk(a_sorted, &b)
-        .into_iter()
-        .map(|(_, d, _)| d.abs())
-        .fold(0.0, f64::max)
-}
-
-/// [`kolmogorov_smirnov_presorted`] with a caller-provided scratch buffer
-/// for the second sample's sort and a streaming merge walk — the
-/// monitor's zero-alloc tick path: with a warm `scratch` the whole
-/// computation performs no heap allocations.
-///
-/// Bit-identical to [`kolmogorov_smirnov_presorted`]: the unstable sort
-/// can only permute entries that compare equal, and the merge walk
-/// consumes equal entries together by comparison (`-0.0 == 0.0`
-/// included), so the sequence of ECDF diffs — and the running max over
-/// `|diff|` — is exactly the allocating variant's.
-///
-/// # Panics
-///
-/// Same contract as [`kolmogorov_smirnov_presorted`].
-pub fn kolmogorov_smirnov_presorted_scratch(
-    a_sorted: &[f64],
-    b: &[f64],
-    scratch: &mut Vec<f64>,
-) -> f64 {
-    assert!(!a_sorted.is_empty(), "first sample is empty");
-    debug_assert!(
-        a_sorted.windows(2).all(|w| w[0] <= w[1]),
-        "first sample must be pre-sorted"
-    );
-    assert!(!b.is_empty(), "second sample is empty");
-    assert!(
-        b.iter().all(|x| x.is_finite()),
-        "second sample contains non-finite values"
-    );
-    scratch.clear();
-    scratch.extend_from_slice(b);
-    scratch.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    let a = a_sorted;
-    let b: &[f64] = scratch;
-    let (n, m) = (a.len() as f64, b.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut sup = 0.0f64;
-    while i < a.len() || j < b.len() {
-        let x = match (a.get(i), b.get(j)) {
-            (Some(&ai), Some(&bj)) => ai.min(bj),
-            (Some(&ai), None) => ai,
-            (None, Some(&bj)) => bj,
-            (None, None) => unreachable!(),
-        };
-        while i < a.len() && a[i] == x {
-            i += 1;
-        }
-        while j < b.len() && b[j] == x {
-            j += 1;
-        }
-        let diff = i as f64 / n - j as f64 / m;
-        sup = sup.max(diff.abs());
-    }
-    sup
 }
 
 /// Kuiper statistic `sup (F−G) + sup (G−F)`.
@@ -378,26 +304,6 @@ mod tests {
         // a = {1,2}, b = {1.5, 2.5}: max gap is 0.5.
         let d = kolmogorov_smirnov(&[1.0, 2.0], &[1.5, 2.5]);
         assert!((d - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scratch_ks_is_bit_identical_to_presorted_and_naive() {
-        let mut a_sorted = A.to_vec();
-        a_sorted.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        let mut scratch = Vec::new();
-        for b in [
-            shifted(0.3),
-            shifted(-2.0),
-            vec![0.5; 8],                         // massive ties
-            vec![0.0, -0.0, 0.4, 1.2, -0.0, 0.7], // signed-zero ties
-            vec![42.0],                           // unequal sizes
-        ] {
-            let naive = kolmogorov_smirnov(&A, &b);
-            let pre = kolmogorov_smirnov_presorted(&a_sorted, &b);
-            let scr = kolmogorov_smirnov_presorted_scratch(&a_sorted, &b, &mut scratch);
-            assert_eq!(naive.to_bits(), pre.to_bits());
-            assert_eq!(pre.to_bits(), scr.to_bits());
-        }
     }
 
     #[test]

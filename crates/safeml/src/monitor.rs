@@ -12,7 +12,7 @@
 //! * a **confidence** `= 1 − dissimilarity` in the ML outcome,
 //! * a three-way [`SafeMlVerdict`] against configurable thresholds.
 
-use crate::distance::DistanceMeasure;
+use crate::distance::{finite_cmp, DistanceMeasure};
 use std::collections::VecDeque;
 
 /// Verdict levels the ConSert layer maps to mitigations.
@@ -77,21 +77,28 @@ impl Default for SafeMlConfig {
 #[derive(Debug, Clone)]
 pub struct SafeMlMonitor {
     config: SafeMlConfig,
-    /// Column-major reference: one Vec per feature.
+    /// Column-major reference: one Vec per feature, each sorted ascending
+    /// at construction with the stable sort the distance measures apply
+    /// to their inputs, so their own re-sort is the identity.
     reference: Vec<Vec<f64>>,
     /// Sliding window of runtime samples (row-major).
     window: VecDeque<Vec<f64>>,
+    /// KS only (empty otherwise): each window column kept sorted
+    /// ascending, every entry carrying the reference ECDF at its value.
+    sorted_window: Vec<Vec<Ranked>>,
     samples_seen: u64,
-    /// Pre-sorted copy of `reference`, built lazily by
-    /// [`SafeMlMonitor::assessment`]. A pure accelerator: sorting the same
-    /// finite columns always yields the same arrays, so results are
-    /// bit-identical with or without it.
-    sorted_reference: Option<Vec<Vec<f64>>>,
-    /// Column-gather scratch for the fast path; reused every tick so a
-    /// steady-state assessment performs zero heap allocations.
-    col_scratch: Vec<f64>,
-    /// Sort scratch handed to the streaming KS kernel.
-    sort_scratch: Vec<f64>,
+}
+
+/// One window value in a sorted window column, with the reference
+/// column's ECDF evaluated at it: `cdf = (#ref ≤ v) / n` and
+/// `cdf_below = (#ref < v) / n` (its left limit), each computed once, as
+/// `i as f64 / n` with `i` found by binary search, when the sample is
+/// pushed.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    v: f64,
+    cdf: f64,
+    cdf_below: f64,
 }
 
 /// Errors from monitor construction and feeding.
@@ -110,8 +117,11 @@ pub enum SafeMlError {
     },
     /// Reference or sample contained non-finite values.
     NonFinite,
-    /// Config thresholds out of order (`caution >= reject`).
+    /// Config thresholds non-finite or out of order (`caution >= reject`).
     BadThresholds,
+    /// Config window length is zero, or too large for the sorted KS
+    /// window columns to be allocated.
+    BadWindow,
 }
 
 impl std::fmt::Display for SafeMlError {
@@ -124,7 +134,10 @@ impl std::fmt::Display for SafeMlError {
             }
             SafeMlError::NonFinite => write!(f, "non-finite feature value"),
             SafeMlError::BadThresholds => {
-                write!(f, "caution threshold must be below reject threshold")
+                write!(f, "thresholds must be finite, with caution below reject")
+            }
+            SafeMlError::BadWindow => {
+                write!(f, "window length must be at least 1 and allocatable")
             }
         }
     }
@@ -142,14 +155,21 @@ impl SafeMlMonitor {
         if reference_rows.is_empty() {
             return Err(SafeMlError::EmptyReference);
         }
-        if config.caution_threshold >= config.reject_threshold {
+        let (caution, reject) = (config.caution_threshold, config.reject_threshold);
+        if !caution.is_finite() || !reject.is_finite() || caution >= reject {
             return Err(SafeMlError::BadThresholds);
+        }
+        if config.window == 0 {
+            return Err(SafeMlError::BadWindow);
         }
         let width = reference_rows[0].len();
         if width == 0 {
             return Err(SafeMlError::EmptyReference);
         }
-        let mut reference = vec![Vec::with_capacity(reference_rows.len()); width];
+        // Built one by one: `vec![v; n]` clones would drop the capacity.
+        let mut reference: Vec<Vec<f64>> = (0..width)
+            .map(|_| Vec::with_capacity(reference_rows.len()))
+            .collect();
         for row in &reference_rows {
             if row.len() != width {
                 return Err(SafeMlError::RaggedReference);
@@ -161,14 +181,24 @@ impl SafeMlMonitor {
                 reference[c].push(*v);
             }
         }
+        for col in &mut reference {
+            col.sort_by(finite_cmp);
+        }
+        let mut sorted_window = Vec::new();
+        if config.measure == DistanceMeasure::KolmogorovSmirnov {
+            for _ in 0..width {
+                let mut col = Vec::new();
+                col.try_reserve_exact(config.window)
+                    .map_err(|_| SafeMlError::BadWindow)?;
+                sorted_window.push(col);
+            }
+        }
         Ok(SafeMlMonitor {
             config,
             reference,
             window: VecDeque::new(),
+            sorted_window,
             samples_seen: 0,
-            sorted_reference: None,
-            col_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
         })
     }
 
@@ -200,6 +230,27 @@ impl SafeMlMonitor {
         } else {
             Vec::with_capacity(features.len())
         };
+        // The evicted values leave the sorted columns before the new ones
+        // enter, so no column ever outgrows its `window` capacity.
+        for (col, &v) in self.sorted_window.iter_mut().zip(slot.iter()) {
+            let at = col.partition_point(|e| e.v < v);
+            debug_assert!(col[at].v == v, "evicted value is in its column");
+            col.remove(at);
+        }
+        for ((col, ref_col), &v) in self
+            .sorted_window
+            .iter_mut()
+            .zip(&self.reference)
+            .zip(features)
+        {
+            let n = ref_col.len() as f64;
+            let entry = Ranked {
+                v,
+                cdf: ref_col.partition_point(|r| *r <= v) as f64 / n,
+                cdf_below: ref_col.partition_point(|r| *r < v) as f64 / n,
+            };
+            col.insert(col.partition_point(|e| e.v <= v), entry);
+        }
         slot.clear();
         slot.extend_from_slice(features);
         self.window.push_back(slot);
@@ -243,11 +294,17 @@ impl SafeMlMonitor {
     /// it — the fast-path equivalent of calling
     /// [`SafeMlMonitor::dissimilarity`] followed by
     /// [`SafeMlMonitor::verdict`], which walk the full window/reference
-    /// comparison twice. For the KS measure the reference columns are
-    /// additionally pre-sorted once (lazily) and reused across calls;
-    /// both results are bit-identical to the naive accessors.
-    pub fn assessment(&mut self) -> (f64, SafeMlVerdict) {
-        let d = self.dissimilarity_presorted();
+    /// comparison twice. For the KS measure no sort or merge runs here:
+    /// each column's statistic is one walk over its sorted window column,
+    /// whose entries carry their reference ECDF values. Both results are
+    /// bit-identical to the naive accessors; other measures fall back to
+    /// the naive path.
+    pub fn assessment(&self) -> (f64, SafeMlVerdict) {
+        let d = if self.config.measure == DistanceMeasure::KolmogorovSmirnov {
+            self.dissimilarity_sorted()
+        } else {
+            self.dissimilarity()
+        };
         let verdict = if d >= self.config.reject_threshold {
             SafeMlVerdict::Reject
         } else if d >= self.config.caution_threshold {
@@ -258,39 +315,14 @@ impl SafeMlMonitor {
         (d, verdict)
     }
 
-    /// [`SafeMlMonitor::dissimilarity`] using the lazily-built pre-sorted
-    /// reference (KS only; other measures fall back to the naive path).
-    fn dissimilarity_presorted(&mut self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        if self.config.measure != DistanceMeasure::KolmogorovSmirnov {
-            return self.dissimilarity();
-        }
-        let sorted = self.sorted_reference.get_or_insert_with(|| {
-            self.reference
-                .iter()
-                .map(|col| {
-                    let mut v = col.clone();
-                    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-                    v
-                })
-                .collect()
-        });
+    /// [`SafeMlMonitor::dissimilarity`] for KS from the sorted window
+    /// columns, summed over the columns in the same order.
+    /// An empty window leaves every column at 0, as the naive path does.
+    fn dissimilarity_sorted(&self) -> f64 {
+        let m = self.window.len() as f64;
         let mut acc = 0.0;
-        for (c, ref_col) in sorted.iter().enumerate() {
-            // Gather the window column into reusable scratch and run the
-            // streaming KS kernel: zero allocations per tick once warm,
-            // bit-identical to the collecting path.
-            self.col_scratch.clear();
-            self.col_scratch
-                .extend(self.window.iter().map(|row| row[c]));
-            let d = crate::distance::kolmogorov_smirnov_presorted_scratch(
-                ref_col,
-                &self.col_scratch,
-                &mut self.sort_scratch,
-            );
-            acc += d; // squash() is the identity for KS
+        for col in &self.sorted_window {
+            acc += ks_sorted_window(col, m); // squash() is the identity for KS
         }
         acc / self.reference.len() as f64
     }
@@ -321,6 +353,44 @@ impl SafeMlMonitor {
     pub fn window_len(&self) -> usize {
         self.window.len()
     }
+}
+
+/// The KS statistic `sup |F − G|` between a reference column (seen only
+/// through each entry's `cdf`/`cdf_below`) and a window column of `m`
+/// values sorted ascending.
+///
+/// Over the distinct window values `w_k`, with `j_k = #window ≤ w_k`
+/// and `j_{-1} = 0`, it returns
+/// `max_k max(|cdf_k − j_k/m|, |cdf_below_k − j_{k−1}/m|)`, bit-identical
+/// to the merge walk of `distance::kolmogorov_smirnov`:
+///
+/// * every candidate is a point the walk visits — `w_k` itself, and the
+///   largest reference value below `w_k` when one lies above `w_{k−1}`
+///   (otherwise `cdf_below_k` equals `cdf_{k−1}` and the candidate
+///   repeats `w_{k−1}`'s);
+/// * between two window values the walk visits only reference values,
+///   at a fixed `j`, and `fl(i/n − j/m)` is monotone in `i`, so that run
+///   of `|diff|` peaks at an endpoint, and both endpoints are candidates
+///   (past the last window value the right endpoint is `1 − 1 = 0`);
+/// * the candidates are evaluated with the walk's exact expression
+///   `i as f64 / n − j as f64 / m`, and `max` over `|·|` is exact and
+///   ignores order.
+fn ks_sorted_window(col: &[Ranked], m: f64) -> f64 {
+    let mut sup = 0.0f64;
+    let mut below = 0.0; // j_{k−1} / m
+    let mut k = 0;
+    while k < col.len() {
+        let e = col[k];
+        let mut j = k + 1;
+        while j < col.len() && col[j].v == e.v {
+            j += 1;
+        }
+        let at = j as f64 / m;
+        sup = sup.max((e.cdf_below - below).abs()).max((e.cdf - at).abs());
+        below = at;
+        k = j;
+    }
+    sup
 }
 
 #[cfg(test)]
@@ -427,6 +497,40 @@ mod tests {
             SafeMlMonitor::new(vec![vec![1.0]], cfg).unwrap_err(),
             SafeMlError::BadThresholds
         );
+        // A NaN threshold compares false both ways and would otherwise
+        // yield `Accept` forever; infinities are refused with it.
+        for (caution, reject) in [
+            (f64::NAN, 0.9),
+            (0.5, f64::NAN),
+            (f64::NEG_INFINITY, 0.9),
+            (0.5, f64::INFINITY),
+        ] {
+            let mut cfg = SafeMlConfig::default();
+            cfg.caution_threshold = caution;
+            cfg.reject_threshold = reject;
+            assert_eq!(
+                SafeMlMonitor::new(vec![vec![1.0]], cfg).unwrap_err(),
+                SafeMlError::BadThresholds,
+                "thresholds ({caution}, {reject})"
+            );
+        }
+        // A zero-length window used to panic on the first push; one too
+        // large to allocate is refused instead of aborting.
+        for window in [0, usize::MAX] {
+            let mut cfg = SafeMlConfig::default();
+            cfg.window = window;
+            assert_eq!(
+                SafeMlMonitor::new(vec![vec![1.0]], cfg).unwrap_err(),
+                SafeMlError::BadWindow,
+                "window {window}"
+            );
+        }
+        let mut cfg = SafeMlConfig::default();
+        cfg.window = 1;
+        let mut mon = SafeMlMonitor::new(vec![vec![1.0]], cfg).unwrap();
+        mon.push_sample(&[1.0]).unwrap();
+        mon.push_sample(&[2.0]).unwrap();
+        assert_eq!(mon.window_len(), 1);
     }
 
     #[test]
@@ -459,6 +563,30 @@ mod tests {
             let fast = mon.assessment();
             assert_eq!(naive.0.to_bits(), fast.0.to_bits(), "tick {i}");
             assert_eq!(naive.1, fast.1, "tick {i}");
+        }
+    }
+
+    #[test]
+    fn sorted_window_ks_is_bit_identical_on_ties_signed_zeros_and_short_windows() {
+        const A: [f64; 8] = [0.1, 0.4, 0.5, 0.7, 1.0, 1.2, 1.4, 2.0];
+        let reference: Vec<Vec<f64>> = A.iter().map(|&a| vec![a]).collect();
+        for (window, stream) in [
+            (8, A.iter().map(|a| a + 0.3).collect::<Vec<_>>()),
+            (8, A.iter().map(|a| a - 2.0).collect()),
+            (8, vec![0.5; 8]),                         // whole-window ties
+            (6, vec![0.0, -0.0, 0.4, 1.2, -0.0, 0.7]), // signed-zero ties
+            (1, vec![42.0, 0.4, 0.4, -7.0]),           // one-sample window
+        ] {
+            let mut cfg = SafeMlConfig::default();
+            cfg.window = window;
+            let mut mon = SafeMlMonitor::new(reference.clone(), cfg).unwrap();
+            for (t, v) in stream.iter().enumerate() {
+                mon.push_sample(&[*v]).unwrap();
+                let naive = (mon.dissimilarity(), mon.verdict());
+                let fast = mon.assessment();
+                assert_eq!(naive.0.to_bits(), fast.0.to_bits(), "{stream:?} at {t}");
+                assert_eq!(naive.1, fast.1, "{stream:?} at {t}");
+            }
         }
     }
 

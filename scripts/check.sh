@@ -84,7 +84,10 @@ cargo run -q --release -p sesame-bench --bin scenario -- smoke scenarios/*.sesam
 echo "==> scenario DSL fuzz: parser/compiler never panic, spans stay in range, print is a parse fixed point (2048 cases/property)"
 SESAME_FUZZ_CASES=2048 cargo test -q -p sesame-scenario-dsl --test fuzz
 
+echo "==> SafeML incremental KS: assessment() bit-identical to the naive accessors after every push (2048 cases, release)"
+SESAME_FUZZ_CASES=2048 cargo test -q --release -p sesame-safeml --test incremental_ks
+
 echo "==> bench gate: fresh numbers vs committed baselines (>20% regression fails)"
 scripts/bench_gate.sh
 
-echo "OK: build, tests, clippy, fmt, rustdoc, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the perfbench tests and fleet_500 digest smoke, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite and the bench gate all green"
+echo "OK: build, tests, clippy, fmt, rustdoc, parallel chaos smoke, determinism diff, panic-injection soak, busbench, eddibench, fleetbench, the recovery bench, tickbench, the perfbench tests and fleet_500 digest smoke, the server soak, the run-log properties, the scenario library smoke, the DSL fuzz suite, the SafeML KS property test and the bench gate all green"

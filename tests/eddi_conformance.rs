@@ -1,9 +1,10 @@
 //! Lockstep conformance: the incremental EDDI fast path against the
 //! naive reference path.
 //!
-//! The fast path (solver profile cache, presorted SafeML, SINADRA factor
-//! caches, fingerprint-gated ConSerts) claims **bit-identical** results,
-//! not approximately-equal ones. This suite proves it three ways:
+//! The fast path (solver profile cache, SafeML's incremental KS test over
+//! sorted window columns, SINADRA factor caches, fingerprint-gated
+//! ConSerts) claims **bit-identical** results, not approximately-equal
+//! ones. This suite proves it three ways:
 //!
 //! 1. 200+ randomized evidence schedules driven through paired runtimes,
 //!    comparing every output field, the evidence snapshot and the ConSert
